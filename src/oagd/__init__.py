@@ -42,7 +42,7 @@ from .hypergrad import (
     solve_M,
     windowed_hypergradient,
 )
-from .inner import InnerSchedule, gd_to_tolerance, inner_gd, k_for_round
+from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance
 from .problems import (
     ElasticNetStream,
     HOStream,
@@ -106,7 +106,6 @@ __all__ = [
     "equal_stages",
     "estimate_constants",
     "full_info_run",
-    "gd_to_tolerance",
     "h_estimate",
     "ho_stream",
     "hypergradient",
@@ -115,6 +114,7 @@ __all__ = [
     "k_for_round",
     "local_regret_series",
     "make_weights",
+    "newton_to_tolerance",
     "oagd_run",
     "outer_oracle",
     "path_lengths",

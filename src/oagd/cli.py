@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import DecisionPair, FeasibleSet, ProblemConstants, RoundFunctions, derive_constants, project
+from .core import DecisionPair, FeasibleSet, ProblemConstants, derive_constants, project
 from .driver import StepSizeSchedule, Trace, full_info_run, oagd_run, strongly_convex_c
 from .errors import (
     ConfigError,
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .hypergrad import WeightWindow, make_weights
-from .inner import InnerSchedule, gd_to_tolerance
+from .inner import InnerSchedule, newton_to_tolerance
 from .kernels import active_backend
 from .problems import (
     SyntheticStreamConfig,
@@ -504,26 +504,8 @@ def _full_train_fit(prep: _Prepared, x_final: np.ndarray, tol: float = 1e-10) ->
     """Fit y on the whole training split at fixed hyperparameters x_final:
     mean squared data loss plus the stream's per-round penalty."""
     A, b = prep.dataset.split("train")
-    n = A.shape[0]
-    stream = prep.stream
-
-    def grad_y(x, y):
-        return A.T @ (A @ y - b) / n + stream._grad_y_g_extra(x, y)
-
-    def hess_yy(x, y):
-        return A.T @ A / n + np.diag(stream._hess_diag(x, y))
-
-    fit_round = RoundFunctions(
-        f=lambda x, y: 0.0,
-        g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + stream._g_extra(x, y)),
-        grad_x_f=lambda x, y: np.zeros_like(x),
-        grad_y_f=lambda x, y: np.zeros(A.shape[1]),
-        grad_y_g=grad_y,
-        jac_xy_g=lambda x, y: stream._jac_xy(x, y),
-        hess_yy_g=hess_yy,
-        label="full-train fit",
-    )
-    return gd_to_tolerance(fit_round, x_final, np.zeros(A.shape[1]), tol=tol)
+    fit_round = prep.stream.full_batch_round(A, b)
+    return newton_to_tolerance(fit_round, x_final, np.zeros(A.shape[1]), tol=tol)
 
 
 def test_error(prep: _Prepared, x_final: np.ndarray) -> float:

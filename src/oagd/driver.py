@@ -25,7 +25,7 @@ from .hypergrad import (
     hypergradient,
     windowed_hypergradient,
 )
-from .inner import InnerSchedule, gd_to_tolerance, inner_gd, k_for_round, pgd_to_stationarity
+from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance, pgd_to_stationarity
 
 
 def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
@@ -223,7 +223,10 @@ def oagd_run(
         K_t, capped = k_for_round(inner, constants, t)
         if capped:
             trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
-        y_next = inner_gd(rnd, x, y, inner.beta, K_t)
+        try:
+            y_next = inner_gd(rnd, x, y, inner.beta, K_t)
+        except NonFiniteIterate as exc:
+            raise NonFiniteIterate(str(exc), round_index=t) from exc
         if fast is not None:
             hg = fast(t, window, x, y_next)
         else:
@@ -260,7 +263,7 @@ def full_info_run(
     """Benchmark that plays the previous round's exact solutions.
 
     After playing (x_t, y_t): y_{t+1} = argmin_y g_t(x_t, y) via the closed
-    form or, when oracle_tol is set, gradient descent to that residual;
+    form or, when oracle_tol is set, damped Newton to that residual;
     x_{t+1} = argmin_{x in X} f_t(x, y_{t+1}) via the closed-form partial
     minimizer, a projected-gradient solve on x -> f_t(x, y_{t+1}), or the
     round's composed-objective minimizer, in that preference order.
@@ -278,7 +281,7 @@ def full_info_run(
         if rnd.closed_form_y_star is not None:
             y_next = np.asarray(rnd.closed_form_y_star(x), dtype=float)
         elif oracle_tol is not None:
-            y_next = gd_to_tolerance(rnd, x, y, tol=oracle_tol)
+            y_next = newton_to_tolerance(rnd, x, y, tol=oracle_tol)
         else:
             raise OracleUnavailable(
                 f"round {t} has no closed-form inner solution and no oracle tolerance was given"

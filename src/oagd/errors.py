@@ -51,7 +51,8 @@ class OracleUnavailable(OagdError):
 
 
 class OracleDiverged(OagdError):
-    """A comparator oracle hit its iteration cap before reaching tolerance."""
+    """A comparator oracle stopped short of tolerance: it hit its iteration
+    cap, its step collapsed, or the inner Hessian was not positive definite."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

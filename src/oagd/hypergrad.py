@@ -31,6 +31,17 @@ from .errors import FactorizationFailure
 SOLVE_RESIDUAL_RTOL = 1e-10
 
 
+def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve hess z = rhs by one Cholesky factorization of the symmetric
+    positive definite hess. Raises FactorizationFailure when hess is not
+    numerically positive definite."""
+    try:
+        factor = cho_factor(hess, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise FactorizationFailure(f"inner Hessian not positive definite: {exc}") from exc
+    return cho_solve(factor, rhs, check_finite=False)
+
+
 def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:
     """Solve jac_xy + M hess_yy = 0 for the (d1, d2) sensitivity matrix M.
 
@@ -47,11 +58,7 @@ def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:
         raise FactorizationFailure(
             f"cross-Jacobian shape {jac_xy.shape} incompatible with Hessian {hess_yy.shape}"
         )
-    try:
-        factor = cho_factor(hess_yy, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise FactorizationFailure(f"inner Hessian not positive definite: {exc}") from exc
-    M = -cho_solve(factor, jac_xy.T, check_finite=False).T
+    M = -cholesky_solve(hess_yy, jac_xy.T).T
 
     scale = 1.0 + float(np.max(np.abs(jac_xy)))
     residual = float(np.max(np.abs(jac_xy + M @ hess_yy)))

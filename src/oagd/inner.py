@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DerivedConstants, FeasibleSet, RoundFunctions, project
-from .errors import NonFiniteIterate, OracleDiverged
+from .errors import FactorizationFailure, NonFiniteIterate, OracleDiverged
+from .hypergrad import cholesky_solve
 
 #: default cap on per-round inner iteration counts; hitting it is recorded
 #: as an off-schedule warning rather than silently looping for hours.
@@ -47,62 +48,60 @@ def inner_gd(
     return z
 
 
-def gd_to_tolerance(
+#: Newton iterations allowed per oracle solve; damped Newton converges
+#: quadratically near y* on a strongly convex g with a Lipschitz Hessian.
+NEWTON_MAX_ITERS = 100
+
+
+def newton_to_tolerance(
     round_fns: RoundFunctions,
     x: np.ndarray,
     y_init: np.ndarray,
     tol: float,
-    beta: Optional[float] = None,
-    cap: int = 1_000_000,
 ) -> np.ndarray:
-    """Backtracking gradient descent on g(x, .) until ||grad_y g|| <= tol
-    (oracle use, not part of the online algorithm).
+    """Damped Newton on g(x, .) until ||grad_y g|| <= tol (oracle use, not
+    part of the online algorithm).
 
-    When beta is not given the starting step is estimated from the Hessian
-    spectrum at the initial point. Each step must satisfy an Armijo decrease
-    in the g value, otherwise the step halves; successful steps regrow it by
-    1.25x. Descent on the value is what makes this safe where a fixed or
-    curvature-refreshed step is not: local curvature estimates can shrink
-    while the true curvature peak lies elsewhere. Raises OracleDiverged on
-    cap or on step collapse.
+    Each iteration takes d = -hess_yy_g^{-1} grad_y g from one Cholesky
+    factorization and halves a unit step s until the Armijo condition
+    g(z + s d) <= g(z) + 1e-4 s grad^T d holds; once that required decrease
+    is below float64 resolution of g, strict descent of the gradient norm
+    is accepted instead. Raises OracleDiverged, carrying the last residual,
+    on a Hessian that is not positive definite, on step collapse, or after
+    NEWTON_MAX_ITERS iterations.
     """
     z = np.asarray(y_init, dtype=float).copy()
-    step = beta if beta is not None else _beta_from_hessian(round_fns, x, z)
     val = float(round_fns.g(x, z))
     grad = np.asarray(round_fns.grad_y_g(x, z), dtype=float)
     res = float(np.linalg.norm(grad))
-    for _ in range(cap):
+    for _ in range(NEWTON_MAX_ITERS):
         if res <= tol:
             return z
-        cand = z - step * grad
-        finite = bool(np.all(np.isfinite(cand)))
-        required = 1e-4 * step * res * res
-        if required > 1e-15 * (1.0 + abs(val)):
-            cval = float(round_fns.g(x, cand)) if finite else math.inf
-            if math.isfinite(cval) and cval <= val - required:
-                z, val = cand, cval
-                grad = np.asarray(round_fns.grad_y_g(x, z), dtype=float)
-                res = float(np.linalg.norm(grad))
-                step *= 1.25
-                continue
-        elif finite:
-            # endgame: the Armijo decrease is below float64 resolution of
-            # the value, so accept on gradient-norm descent instead and
-            # stop growing the step
+        try:
+            d = -cholesky_solve(np.asarray(round_fns.hess_yy_g(x, z), dtype=float), grad)
+        except FactorizationFailure as exc:
+            raise OracleDiverged(f"inner oracle at residual {res:.3e}: {exc}", residual=res) from exc
+        step, unit_drop = 1.0, -1e-4 * float(grad @ d)
+        while True:
+            cand = z + step * d
+            cval = float(round_fns.g(x, cand))
             cgrad = np.asarray(round_fns.grad_y_g(x, cand), dtype=float)
             cres = float(np.linalg.norm(cgrad))
-            if math.isfinite(cres) and cres < res:
-                z, grad, res = cand, cgrad, cres
-                val = float(round_fns.g(x, z))
-                continue
-        step *= 0.5
-        if step < 1e-18:
-            raise OracleDiverged(
-                f"inner oracle step collapsed below 1e-18 at residual {res:.3e}",
-                residual=res,
-            )
+            required = step * unit_drop
+            if required > 1e-15 * (1.0 + abs(val)):
+                if math.isfinite(cval) and cval <= val - required:
+                    break
+            elif cres < res:  # endgame: the decrease is below float64 resolution of g
+                break
+            step *= 0.5
+            if step < 1e-18:
+                raise OracleDiverged(
+                    f"inner oracle step collapsed below 1e-18 at residual {res:.3e}",
+                    residual=res,
+                )
+        z, val, grad, res = cand, cval, cgrad, cres
     raise OracleDiverged(
-        f"inner oracle residual {res:.3e} above tol {tol:.1e} after {cap} iterations",
+        f"inner oracle residual {res:.3e} above tol {tol:.1e} after {NEWTON_MAX_ITERS} iterations",
         residual=res,
     )
 
@@ -123,7 +122,7 @@ def pgd_to_stationarity(
     (1e-4/step) ||x+ - x||^2; accepted steps let the step size grow again.
     Once the required decrease falls below float64 resolution of the value,
     acceptance switches to strict descent of the stationarity residual with
-    the step frozen, mirroring gd_to_tolerance. Raises OracleDiverged on
+    the step frozen, as in newton_to_tolerance. Raises OracleDiverged on
     cap hit or step collapse.
     """
 
@@ -167,16 +166,6 @@ def pgd_to_stationarity(
         f"projected gradient residual still above tol {tol:.1e} after {cap} iterations",
         residual=res,
     )
-
-
-def _beta_from_hessian(round_fns: RoundFunctions, x, y) -> float:
-    hess = np.asarray(round_fns.hess_yy_g(x, y), dtype=float)
-    eigs = np.linalg.eigvalsh(hess)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if hi <= 0:
-        raise NonFiniteIterate("inner Hessian has no positive curvature")
-    lo = max(lo, 0.0)
-    return 2.0 / (hi + lo) if lo > 0 else 1.0 / hi
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,24 @@ class HOStream:
         self._cache[i] = rnd
         return rnd
 
+    def full_batch_round(self, A, b) -> RoundFunctions:
+        """The inner problem over a whole sample table at fixed x: mean
+        squared loss ||A y - b||^2 / (2 n) plus the per-round penalty, with
+        f = 0. Used to fit y on the full training split."""
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        n = A.shape[0]
+        return RoundFunctions(
+            f=lambda x, y: 0.0,
+            g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._g_extra(x, y)),
+            grad_x_f=lambda x, y: np.zeros(self.d1),
+            grad_y_f=lambda x, y: np.zeros(self.d2),
+            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._grad_y_g_extra(x, y),
+            jac_xy_g=self._jac_xy,
+            hess_yy_g=lambda x, y: A.T @ A / n + np.diag(self._hess_diag(x, y)),
+            label="full batch",
+        )
+
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
         """Fast path: every window term shares D and the Jacobian, so the
         weighted solve batch-reduces through the Sherman-Morrison kernel."""

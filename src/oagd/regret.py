@@ -29,7 +29,7 @@ from .hypergrad import (
     hypergradient,
     windowed_hypergradient,
 )
-from .inner import gd_to_tolerance, pgd_to_stationarity
+from .inner import newton_to_tolerance, pgd_to_stationarity
 
 INNER_ORACLE_TOL = 1e-12
 OUTER_ORACLE_TOL = 1e-10
@@ -37,13 +37,13 @@ OUTER_ORACLE_TOL = 1e-10
 
 def inner_oracle(round_fns, x, tol: float = INNER_ORACLE_TOL,
                  y0: Optional[np.ndarray] = None) -> np.ndarray:
-    """y*_t(x): closed form when available, else gradient descent from y0
+    """y*_t(x): closed form when available, else damped Newton from y0
     until the inner gradient norm falls below tol."""
     if round_fns.closed_form_y_star is not None:
         return np.asarray(round_fns.closed_form_y_star(x), dtype=float)
     if y0 is None:
         raise ValueError("y0 is required when the round has no closed-form inner solution")
-    return gd_to_tolerance(round_fns, np.asarray(x, dtype=float), y0, tol=tol)
+    return newton_to_tolerance(round_fns, np.asarray(x, dtype=float), y0, tol=tol)
 
 
 def _composed_handles(round_fns, inner_tol, y_hint):

@@ -1,11 +1,13 @@
 """Tests for the experiment runner: CSV loading, config parsing and
 validation, end-to-end runs, output files, sweeps, and error reporting."""
 import csv
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oagd import ConfigError, EmptyDataset, ParseError
+from oagd import ConfigError, EmptyDataset, NonConvexFlag, ParseError
 from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -278,3 +280,22 @@ output = {out}
     assert trace.T == 12
     assert np.all(np.isfinite(trace.f_value))
     assert report.bd_regret.shape == (12,)
+
+
+def test_shipped_elastic_net_config_full_report(tmp_path):
+    """configs/elastic_net.cfg, cut to T = 10, runs with its static, local
+    and H_T reports on and writes finite values for all three."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config(root / "configs" / "elastic_net.cfg")
+    assert cfg.report_static and cfg.report_local and cfg.report_h
+    cfg.T = 10
+    cfg.dataset = str(root / cfg.dataset)
+    cfg.output = str(tmp_path / "enet")
+    with pytest.warns(NonConvexFlag):
+        run_experiment(cfg)
+    meta = dict(
+        line.partition(" = ")[::2]
+        for line in (tmp_path / "enet.meta.txt").read_text(encoding="utf-8").splitlines()
+    )
+    for key in ("report.bs_final", "report.bl_final", "report.h_T"):
+        assert math.isfinite(float(meta[key])), key

@@ -7,6 +7,7 @@ from oagd import (
     DecisionPair,
     FeasibleSet,
     InnerSchedule,
+    NonFiniteIterate,
     StepSizeSchedule,
     StreamExhausted,
     derive_constants,
@@ -105,6 +106,18 @@ def test_stream_exhausted():
     with pytest.raises(StreamExhausted) as info:
         _run(stream, T=5)
     assert info.value.available == 4
+
+
+def test_inner_divergence_reports_its_round():
+    """Zero-coefficient quadratic (ell_g1 = 1) at x = 0 with alpha = 0 and
+    beta = 9 >> 2/ell_g1: each inner step multiplies y by -8 exactly, so
+    from y = 1 the iterate overflows float64 (2^1024) on step 342, which
+    falls in round ceil(342 / 50) = 7 of 50-step rounds."""
+    stream = quadratic_stream("constant", T=20)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
+        _run(stream, T=20, alpha=0.0, beta=9.0, K=50, init=(0.0, 1.0))
+    assert info.value.round_index == 7
+    assert str(info.value).startswith("round 7: ")
 
 
 def test_infeasible_init_rejected():

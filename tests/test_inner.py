@@ -1,5 +1,6 @@
 """Tests for the inner gradient-descent step, the to-tolerance oracles, and
 the iteration-count schedules."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,17 @@ import pytest
 
 from oagd import (
     DerivedConstants,
+    ElasticNetStream,
+    HOStream,
     InnerSchedule,
     NonFiniteIterate,
     OracleDiverged,
     ProblemConstants,
     RoundFunctions,
     derive_constants,
-    gd_to_tolerance,
     inner_gd,
     k_for_round,
+    newton_to_tolerance,
     quadratic_round,
 )
 from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity
@@ -106,16 +109,16 @@ def test_inner_gd_contraction_rate():
             assert np.linalg.norm(out) <= rate * np.linalg.norm(y0) * (1.0 + 1e-9)
 
 
-def test_gd_to_tolerance_reaches_residual():
+def test_newton_to_tolerance_reaches_residual():
     rng = np.random.default_rng(6)
     rnd = quadratic_round(0.4, -0.7)
     x = np.array([0.3])
-    out = gd_to_tolerance(rnd, x, rng.normal(size=1), tol=1e-12)
+    out = newton_to_tolerance(rnd, x, rng.normal(size=1), tol=1e-12)
     np.testing.assert_allclose(out, rnd.closed_form_y_star(x), atol=1e-11)
     assert np.linalg.norm(rnd.grad_y_g(x, out)) <= 1e-12
 
 
-def test_gd_to_tolerance_nonquadratic():
+def test_newton_to_tolerance_nonquadratic():
     """Smoothed absolute value g(y) = sqrt(y^2 + 0.01) + 0.5 (y - 1)^2 has a
     curvature peak at 0 that a fixed step estimated elsewhere would miss."""
     mu2 = 0.01
@@ -138,11 +141,11 @@ def test_gd_to_tolerance_nonquadratic():
         jac_xy_g=lambda x, y: np.zeros((1, 1)),
         hess_yy_g=hess,
     )
-    out = gd_to_tolerance(rnd, np.zeros(1), np.array([5.0]), tol=1e-10)
+    out = newton_to_tolerance(rnd, np.zeros(1), np.array([5.0]), tol=1e-10)
     assert abs(grad(None, out)[0]) <= 1e-10
 
 
-def test_gd_to_tolerance_diverged_carries_residual():
+def test_newton_to_tolerance_diverged_carries_residual():
     """An inner objective with no finite minimizer exhausts the step search;
     the raised error reports the last residual."""
     rnd = RoundFunctions(
@@ -155,8 +158,45 @@ def test_gd_to_tolerance_diverged_carries_residual():
         hess_yy_g=lambda x, y: np.zeros((1, 1)),
         )
     with pytest.raises(OracleDiverged) as info:
-        gd_to_tolerance(rnd, np.zeros(1), np.zeros(1), tol=1e-10, beta=1.0, cap=2000)
+        newton_to_tolerance(rnd, np.zeros(1), np.zeros(1), tol=1e-10)
     assert info.value.residual == pytest.approx(1.0)
+
+
+def _regression_tables(d2, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(6, d2)), rng.normal(size=6), rng.normal(size=(6, d2)), rng.normal(size=6)
+
+
+def test_newton_to_tolerance_matches_ridge_closed_form():
+    """On ridge rounds (scalar and per-coordinate weights) Newton from zeros
+    lands on the Sherman-Morrison closed form y*(x)."""
+    rng = np.random.default_rng(8)
+    for d1 in (1, 4):
+        stream = HOStream(*_regression_tables(4, seed=d1), d1=d1)
+        for t in (0, 5):
+            for _ in range(3):
+                x = rng.uniform(-2.0, 2.0, size=d1)
+                out = newton_to_tolerance(stream[t], x, np.zeros(4), tol=1e-12)
+                np.testing.assert_allclose(out, stream[t].closed_form_y_star(x), atol=1e-11)
+
+
+def test_newton_to_tolerance_elastic_net_gradient_budget():
+    """On smoothed elastic net rounds Newton reaches ||grad|| <= 1e-12 from
+    zeros in at most 50 gradient evaluations."""
+    rng = np.random.default_rng(9)
+    stream = ElasticNetStream(*_regression_tables(5, seed=3), mu_smooth=0.1, d1=10)
+    for t in range(6):
+        x = rng.uniform(-2.0, 2.0, size=10)
+        calls = []
+
+        def grad(x, y, rnd=stream[t]):
+            calls.append(1)
+            return rnd.grad_y_g(x, y)
+
+        rnd = dataclasses.replace(stream[t], grad_y_g=grad)
+        out = newton_to_tolerance(rnd, x, np.zeros(5), tol=1e-12)
+        assert np.linalg.norm(stream[t].grad_y_g(x, out)) <= 1e-12
+        assert len(calls) <= 50
 
 
 def test_pgd_to_stationarity_projected_minimum():
