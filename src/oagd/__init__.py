@@ -5,8 +5,8 @@ implicit-differentiation machinery and window averaging, `inner` the
 follower's solver and iteration-count rules, `driver` the online loop and
 its full-information benchmark, `regret` the comparator oracles and
 metrics, `problems` the concrete round families, and `cli` the experiment
-runner. `kernels` carries the numba/numpy twin implementations of the hot
-window reductions (select with OAGD_BACKEND).
+runner. `kernels` holds the numpy window reductions behind the streams'
+windowed-hypergradient fast paths.
 """
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .hypergrad import WeightWindow, make_weights
 from .inner import InnerSchedule, newton_to_tolerance
-from .kernels import active_backend
 from .problems import (
     SyntheticStreamConfig,
     elastic_net_stream,
@@ -450,6 +449,11 @@ def _final(series: Optional[np.ndarray]) -> float:
     return float(series[-1]) if series is not None else float("nan")
 
 
+def _vector(v: Optional[np.ndarray]) -> str:
+    """One-line, comma-separated repr floats (None stays None)."""
+    return "None" if v is None else ", ".join(repr(float(e)) for e in v)
+
+
 def _meta_lines(cfg: ExperimentConfig, prep: _Prepared, window: WeightWindow,
                 steps: StepSizeSchedule, inner: InnerSchedule, derived,
                 trace: Trace, report: RegretReport) -> list:
@@ -475,7 +479,7 @@ def _meta_lines(cfg: ExperimentConfig, prep: _Prepared, window: WeightWindow,
         f"window.w = {window.w}",
         f"window.W = {window.W!r}",
         f"window.kind = {cfg.window_kind}",
-        f"backend = {active_backend()}",
+        "backend = numpy",
         "bl_normalization = window_average",
         f"report.provenance = {report.provenance}",
         f"report.bd_final = {_final(report.bd_regret)!r}",
@@ -490,8 +494,8 @@ def _meta_lines(cfg: ExperimentConfig, prep: _Prepared, window: WeightWindow,
         f"report.h_T = {report.h_T!r}",
         f"report.comparator_grad_sum = {report.comparator_grad_sum!r}",
         f"report.f_star_sum = {report.f_star_sum!r}",
-        f"report.x_static = {report.x_static}",
-        f"trace.final_x = {trace.final_x}",
+        f"report.x_static = {_vector(report.x_static)}",
+        f"trace.final_x = {_vector(trace.final_x)}",
     ]
     for note in prep.notes:
         lines.append(f"note = {note}")

@@ -19,12 +19,7 @@ import numpy as np
 
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable, StreamExhausted
-from .hypergrad import (
-    HypergradientHistory,
-    WeightWindow,
-    hypergradient,
-    windowed_hypergradient,
-)
+from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
 from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance, pgd_to_stationarity
 
 
@@ -204,9 +199,8 @@ def oagd_run(
     """Run the online alternating loop for T rounds and return the trace.
 
     `constants` feeds the theorem-derived K_t rules; it may be omitted for
-    fixed or custom inner schedules. Streams exposing
-    windowed_hypergrad(t, window, x, y) are averaged through that fast
-    path, otherwise the generic per-round loop is used.
+    fixed or custom inner schedules. The window average goes through
+    stream_windowed_hypergradient (the stream's fast path when it has one).
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
@@ -216,7 +210,6 @@ def oagd_run(
     if constants is None and inner.kind not in ("fixed", "custom"):
         raise ValueError(f"inner schedule kind {inner.kind!r} needs derived constants")
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
-    fast = getattr(stream, "windowed_hypergrad", None)
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
         rnd = stream[t - 1]
@@ -227,11 +220,7 @@ def oagd_run(
             y_next = inner_gd(rnd, x, y, inner.beta, K_t)
         except NonFiniteIterate as exc:
             raise NonFiniteIterate(str(exc), round_index=t) from exc
-        if fast is not None:
-            hg = fast(t, window, x, y_next)
-        else:
-            hist = HypergradientHistory.from_stream(stream, t, window.w)
-            hg = windowed_hypergradient(hist, window, x, y_next)
+        hg = stream_windowed_hypergradient(stream, t, window, x, y_next)
         alpha_t = steps.alpha_at(t)
         x_next = project(fset, x - alpha_t * hg)
         if not (np.all(np.isfinite(hg)) and np.all(np.isfinite(x_next))):

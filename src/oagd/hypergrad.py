@@ -163,3 +163,15 @@ def windowed_hypergradient(
         except FactorizationFailure as exc:
             raise FactorizationFailure(str(exc), round_index=history.t - i) from exc
     return acc / window.W
+
+
+def stream_windowed_hypergradient(stream, t: int, window: WeightWindow,
+                                  x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The windowed hypergradient of round t (1-based) of a stream: the
+    stream's own windowed_hypergrad(t, window, x, y) fast path when it has
+    one, else the generic per-round average over its last w rounds."""
+    fast = getattr(stream, "windowed_hypergrad", None)
+    if fast is not None:
+        return fast(t, window, x, y)
+    hist = HypergradientHistory.from_stream(stream, t, window.w)
+    return windowed_hypergradient(hist, window, x, y)

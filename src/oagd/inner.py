@@ -33,8 +33,9 @@ def inner_gd(
 ) -> np.ndarray:
     """Exactly K gradient steps z <- z - beta * grad_y g(x, z), x fixed.
 
-    Deterministic; never reads f. Raises NonFiniteIterate as soon as an
-    iterate stops being finite (mis-specified problem or step size).
+    Deterministic; never reads f. Raises NonFiniteIterate when the result
+    is not finite (mis-specified problem or step size). One check after the
+    K steps suffices: an inf or nan entry stays non-finite under the update.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -43,8 +44,8 @@ def inner_gd(
     z = np.asarray(y_init, dtype=float).copy()
     for _ in range(K):
         z -= beta * np.asarray(round_fns.grad_y_g(x, z), dtype=float)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteIterate("inner iterate became non-finite")
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteIterate("inner iterate became non-finite")
     return z
 
 

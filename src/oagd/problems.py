@@ -20,8 +20,8 @@ Three families, all exposing analytic derivatives through RoundFunctions:
 
 Streams are immutable sequences of RoundFunctions. The regression and
 quadratic streams additionally expose windowed_hypergrad(t, window, x, y),
-an O(w d2) fast path equivalent to the generic averaging loop; the driver
-and the regret module pick it up when present.
+an O(w d2) fast path equivalent to the generic averaging loop;
+hypergrad.stream_windowed_hypergradient picks it up when present.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class QuadraticStream:
 
     windowed_hypergrad uses that every round's M equals 1, so each window
     term is (x + y) + (2 a1_s - a2_s) and the average reduces to one
-    weighted sum handled by the kernel backends.
+    weighted sum handled by kernels.quad_window_reduce.
     """
 
     def __init__(self, a1, a2, a3=None, a4=None, fset: Optional[FeasibleSet] = None):
@@ -226,14 +226,16 @@ class HOStream:
 
     def _apply_neg_jac(self, x, y, v) -> np.ndarray:
         """-jac_xy_g(x, y) @ v without forming the Jacobian."""
-        c = _ridge_diag(self._ridge_block(x), self.d2)
-        if self.d1 == 1:
+        ridge = self._ridge_block(x)
+        c = _ridge_diag(ridge, self.d2)
+        if ridge.shape[0] == 1:
             return np.array([-2.0 * float((c * y) @ v)])
         return -2.0 * c * y * v
 
     def _jac_xy(self, x, y) -> np.ndarray:
-        c = _ridge_diag(self._ridge_block(x), self.d2)
-        if self.d1 == 1:
+        ridge = self._ridge_block(x)
+        c = _ridge_diag(ridge, self.d2)
+        if ridge.shape[0] == 1:
             return (2.0 * c * y)[None, :]
         return np.diag(2.0 * c * y)
 
@@ -371,22 +373,12 @@ class ElasticNetStream(HOStream):
     def _apply_neg_jac(self, x, y, v) -> np.ndarray:
         s = np.exp(self._smooth_block(x))
         smooth_rows = -s * y / np.sqrt(y * y + self.mu**2) * v
-        c = _ridge_diag(self._ridge_block(x), self.d2)
-        if self._ridge_block(x).shape[0] == 1:
-            ridge_rows = np.array([-2.0 * float((c * y) @ v)])
-        else:
-            ridge_rows = -2.0 * c * y * v
-        return np.concatenate([smooth_rows, ridge_rows])
+        return np.concatenate([smooth_rows, super()._apply_neg_jac(x, y, v)])
 
     def _jac_xy(self, x, y) -> np.ndarray:
         s = np.exp(self._smooth_block(x))
         top = np.diag(s * y / np.sqrt(y * y + self.mu**2))
-        c = _ridge_diag(self._ridge_block(x), self.d2)
-        if self._ridge_block(x).shape[0] == 1:
-            bottom = (2.0 * c * y)[None, :]
-        else:
-            bottom = np.diag(2.0 * c * y)
-        return np.vstack([top, bottom])
+        return np.vstack([top, super()._jac_xy(x, y)])
 
     def _closed_form_y_star(self, i: int):
         return None  # the smoothed penalty has no closed-form minimizer

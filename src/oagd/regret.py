@@ -23,12 +23,7 @@ import numpy as np
 
 from .core import FeasibleSet, project
 from .errors import NonConvexFlag
-from .hypergrad import (
-    HypergradientHistory,
-    WeightWindow,
-    hypergradient,
-    windowed_hypergradient,
-)
+from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
 from .inner import newton_to_tolerance, pgd_to_stationarity
 
 INNER_ORACLE_TOL = 1e-12
@@ -332,17 +327,12 @@ def local_regret_series(trace, stream, window: WeightWindow,
     the windowed gradient evaluated at the exact inner response to the
     played x_t."""
     T = trace.T
-    fast = getattr(stream, "windowed_hypergrad", None)
     vals = np.empty(T)
     y_prev = np.zeros(trace.d2)
     for t in range(1, T + 1):
         x_t = trace.x[t - 1]
         y_prev = inner_oracle(stream[t - 1], x_t, tol=inner_tol, y0=y_prev)
-        if fast is not None:
-            hg = fast(t, window, x_t, y_prev)
-        else:
-            hist = HypergradientHistory.from_stream(stream, t, window.w)
-            hg = windowed_hypergradient(hist, window, x_t, y_prev)
+        hg = stream_windowed_hypergradient(stream, t, window, x_t, y_prev)
         vals[t - 1] = float(np.sum(hg**2))
     return np.cumsum(vals)
 

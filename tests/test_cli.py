@@ -293,9 +293,8 @@ def test_shipped_elastic_net_config_full_report(tmp_path):
     cfg.output = str(tmp_path / "enet")
     with pytest.warns(NonConvexFlag):
         run_experiment(cfg)
-    meta = dict(
-        line.partition(" = ")[::2]
-        for line in (tmp_path / "enet.meta.txt").read_text(encoding="utf-8").splitlines()
-    )
+    lines = (tmp_path / "enet.meta.txt").read_text(encoding="utf-8").splitlines()
+    assert all(" = " in line for line in lines)
+    meta = dict(line.partition(" = ")[::2] for line in lines)
     for key in ("report.bs_final", "report.bl_final", "report.h_T"):
         assert math.isfinite(float(meta[key])), key

@@ -1,21 +1,9 @@
-"""Tests for the twin kernel implementations: numerical agreement against a
-naive reference, numba/numpy equivalence, and backend selection."""
-import os
-
+"""Tests for the window kernels: numerical agreement against a naive
+reference."""
 import numpy as np
 import pytest
 
-from oagd.kernels import (
-    NUMBA_AVAILABLE,
-    active_backend,
-    quad_window_reduce,
-    quad_window_reduce_numpy,
-    sm_window_accumulate,
-    sm_window_accumulate_numpy,
-)
-
-if NUMBA_AVAILABLE:
-    from oagd.kernels import quad_window_reduce_numba, sm_window_accumulate_numba
+from oagd.kernels import quad_window_reduce, sm_window_accumulate
 
 
 def _naive_sm(A, A_val, b_val, d_inv, y, u):
@@ -44,7 +32,7 @@ def test_sm_accumulate_matches_dense_solves():
     for seed in range(5):
         args = _case(seed)
         np.testing.assert_allclose(
-            sm_window_accumulate_numpy(*args), _naive_sm(*args), rtol=1e-10, atol=1e-12
+            sm_window_accumulate(*args), _naive_sm(*args), rtol=1e-10, atol=1e-12
         )
 
 
@@ -54,49 +42,4 @@ def test_quad_reduce_matches_naive_sum():
     u = np.linspace(1.0, 0.2, 9)
     xpy = 0.7
     expected = sum(u[i] * (xpy + s[i]) for i in range(9))
-    assert quad_window_reduce_numpy(s, u, xpy) == pytest.approx(expected, rel=1e-13)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_and_numpy_kernels_agree():
-    for seed in range(3):
-        args = _case(seed, m=11, d2=6)
-        a = sm_window_accumulate_numba(*args)
-        b = sm_window_accumulate_numpy(*args)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-    rng = np.random.default_rng(31)
-    s = rng.normal(size=12)
-    u = np.geomspace(1.0, 0.1, 12)
-    assert quad_window_reduce_numba(s, u, -0.3) == pytest.approx(
-        quad_window_reduce_numpy(s, u, -0.3), rel=1e-12
-    )
-
-
-def test_backend_env_override(monkeypatch):
-    monkeypatch.setenv("OAGD_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("OAGD_BACKEND", " NumPy ")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("OAGD_BACKEND", "fortran")
-    with pytest.raises(ValueError):
-        active_backend()
-    monkeypatch.delenv("OAGD_BACKEND")
-    assert active_backend() in ("numba", "numpy")
-    if NUMBA_AVAILABLE:
-        monkeypatch.setenv("OAGD_BACKEND", "numba")
-        assert active_backend() == "numba"
-
-
-def test_dispatchers_follow_backend(monkeypatch):
-    args = _case(42)
-    monkeypatch.setenv("OAGD_BACKEND", "numpy")
-    via_numpy = sm_window_accumulate(*args)
-    r_numpy = quad_window_reduce(np.array([0.1, -0.2]), np.array([1.0, 0.5]), 0.3)
-    if NUMBA_AVAILABLE:
-        monkeypatch.setenv("OAGD_BACKEND", "numba")
-        np.testing.assert_allclose(sm_window_accumulate(*args), via_numpy, rtol=1e-12)
-        assert quad_window_reduce(
-            np.array([0.1, -0.2]), np.array([1.0, 0.5]), 0.3
-        ) == pytest.approx(r_numpy, rel=1e-13)
-    monkeypatch.delenv("OAGD_BACKEND")
-    np.testing.assert_allclose(sm_window_accumulate(*args), via_numpy, rtol=1e-12)
+    assert quad_window_reduce(s, u, xpy) == pytest.approx(expected, rel=1e-13)
