@@ -555,8 +555,9 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
     if cfg.baseline == "full_info":
         base_trace = full_info_run(prep.stream, init, prep.fset, cfg.T,
                                    oracle_tol=cfg.oracle_tol)
+        # the baseline's H_T is never reported, and it costs a full h_estimate
         base_report = compute_report(
-            base_trace, prep.stream, prep.fset, window, **report_kwargs
+            base_trace, prep.stream, prep.fset, window, **{**report_kwargs, "include_h": False}
         )
         meta.append(f"baseline.bd_final = {_final(base_report.bd_regret)!r}")
         if write:

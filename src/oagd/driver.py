@@ -20,7 +20,8 @@ import numpy as np
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable, StreamExhausted
 from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
-from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance, pgd_to_stationarity
+from .inner import (InnerSchedule, k_for_round, newton_to_tolerance, pgd_to_stationarity,
+                    stream_inner_gd)
 
 
 def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
@@ -199,8 +200,10 @@ def oagd_run(
     """Run the online alternating loop for T rounds and return the trace.
 
     `constants` feeds the theorem-derived K_t rules; it may be omitted for
-    fixed or custom inner schedules. The window average goes through
-    stream_windowed_hypergradient (the stream's fast path when it has one).
+    fixed or custom inner schedules. The follower's steps go through
+    stream_inner_gd and the window average through
+    stream_windowed_hypergradient (each takes the stream's fast path when
+    it has one).
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
@@ -217,7 +220,7 @@ def oagd_run(
         if capped:
             trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
         try:
-            y_next = inner_gd(rnd, x, y, inner.beta, K_t)
+            y_next = stream_inner_gd(stream, t, x, y, inner.beta, K_t)
         except NonFiniteIterate as exc:
             raise NonFiniteIterate(str(exc), round_index=t) from exc
         hg = stream_windowed_hypergradient(stream, t, window, x, y_next)

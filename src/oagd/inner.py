@@ -36,14 +36,36 @@ def inner_gd(
     Deterministic; never reads f. Raises NonFiniteIterate when the result
     is not finite (mis-specified problem or step size). One check after the
     K steps suffices: an inf or nan entry stays non-finite under the update.
+    This is the generic follower and the reference for streams' fused
+    inner_steps.
     """
+    _check_step(beta, K)
+    z = np.asarray(y_init, dtype=float).copy()
+    for _ in range(K):
+        z -= beta * np.asarray(round_fns.grad_y_g(x, z), dtype=float)
+    return _require_finite(z)
+
+
+def stream_inner_gd(stream, t: int, x: np.ndarray, y: np.ndarray,
+                    beta: float, K: int) -> np.ndarray:
+    """The follower's K steps on round t (1-based) of a stream: the
+    stream's own fused inner_steps(t, x, y, beta, K) when it has one, else
+    inner_gd on stream[t - 1]. Same checks and errors as inner_gd."""
+    fused = getattr(stream, "inner_steps", None)
+    if fused is None:
+        return inner_gd(stream[t - 1], x, y, beta, K)
+    _check_step(beta, K)
+    return _require_finite(fused(t, x, y, beta, K))
+
+
+def _check_step(beta: float, K: int):
     if K < 1:
         raise ValueError("K must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    z = np.asarray(y_init, dtype=float).copy()
-    for _ in range(K):
-        z -= beta * np.asarray(round_fns.grad_y_g(x, z), dtype=float)
+
+
+def _require_finite(z: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise NonFiniteIterate("inner iterate became non-finite")
     return z

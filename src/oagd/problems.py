@@ -21,7 +21,15 @@ Three families, all exposing analytic derivatives through RoundFunctions:
 Streams are immutable sequences of RoundFunctions. The regression and
 quadratic streams additionally expose windowed_hypergrad(t, window, x, y),
 an O(w d2) fast path equivalent to the generic averaging loop;
-hypergrad.stream_windowed_hypergradient picks it up when present.
+hypergrad.stream_windowed_hypergradient picks it up when present. The
+regression streams keep newest-first contiguous copies of their window
+tables, so that path slices rows instead of copying them every round.
+
+The regression streams also expose inner_steps(t, x, y, beta, K), the K
+follower steps of round t fused into one loop that derives the
+x-dependent part of grad_y g once; inner.stream_inner_gd picks it up when
+present and otherwise runs inner.inner_gd on the round. Both paths
+evaluate the same gradient expression and give bit-identical iterates.
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ import numpy as np
 
 from .core import FeasibleSet, ProblemConstants, RoundFunctions, project
 from .errors import DimensionMismatch, StreamExhausted
-from .kernels import quad_window_reduce, sm_window_accumulate
+from .kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
 
 QUADRATIC_CONSTANTS = ProblemConstants(
     ell_f0=5.0, ell_f1=1.0, ell_g1=1.0, ell_g2=0.0, mu_g=1.0, mu_f=1.0
@@ -198,6 +206,12 @@ class HOStream:
         self.d1 = int(d1)
         self._check_d1()
         self.fset = fset if fset is not None else FeasibleSet.unbounded()
+        # newest-first window tables: rows t-1, t-2, ..., t-m of a table are
+        # rows n-t .. n-t+m-1 of its reversed copy, already contiguous
+        self._A_train_rev = np.ascontiguousarray(self.A_train[::-1])
+        self._A_val_rev = np.ascontiguousarray(self.A_val[::-1])
+        self._b_val_rev = np.ascontiguousarray(self.b_val[::-1])
+        self._window_work = sm_workspace(n, d2)
         self._cache: dict[int, RoundFunctions] = {}
 
     def _check_d1(self):
@@ -218,8 +232,20 @@ class HOStream:
     def _ridge_block(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
+    def _grad_y_g_extra_at(self, x):
+        """y -> the penalty's part of grad_y g(x, y), with its x-dependent
+        factors computed once."""
+        c2 = 2.0 * _ridge_diag(self._ridge_block(x), self.d2)
+        return lambda y: c2 * y
+
     def _grad_y_g_extra(self, x, y) -> np.ndarray:
-        return 2.0 * _ridge_diag(self._ridge_block(x), self.d2) * y
+        return self._grad_y_g_extra_at(x)(y)
+
+    def _grad_y_g_at(self, i: int, x):
+        """z -> grad_y g(x, z) of round index i, for a fixed x."""
+        a, b = self.A_train[i], float(self.b_train[i])
+        extra = self._grad_y_g_extra_at(x)
+        return lambda z: a * (a @ z - b) + extra(z)
 
     def _g_extra(self, x, y) -> float:
         return float(_ridge_diag(self._ridge_block(x), self.d2) @ (y * y))
@@ -266,7 +292,7 @@ class HOStream:
             return 0.5 * (a @ y - b) ** 2 + self._g_extra(x, y)
 
         def grad_y_g(x, y):
-            return a * (a @ y - b) + self._grad_y_g_extra(x, y)
+            return self._grad_y_g_at(i, x)(y)
 
         def hess_yy_g(x, y):
             return np.outer(a, a) + np.diag(self._hess_diag(x, y))
@@ -303,6 +329,18 @@ class HOStream:
             label="full batch",
         )
 
+    def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
+        """K gradient steps z <- z - beta * grad_y g_t(x, z) from y (t is
+        1-based): the update of inner.inner_gd on self[t - 1], bit for bit,
+        without rebuilding exp(x) at every step. y is not modified."""
+        if t > len(self):
+            raise StreamExhausted(t, available=len(self))
+        grad = self._grad_y_g_at(t - 1, x)
+        z = np.asarray(y, dtype=float).copy()
+        for _ in range(K):
+            z -= beta * grad(z)
+        return z
+
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
         """Fast path: every window term shares D and the Jacobian, so the
         weighted solve batch-reduces through the Sherman-Morrison kernel."""
@@ -311,15 +349,16 @@ class HOStream:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         m = min(window.w, t)
-        rows = slice(t - m, t)
+        rows = slice(len(self) - t, len(self) - t + m)
         d_inv = 1.0 / self._hess_diag(x, y)
         acc = sm_window_accumulate(
-            self.A_train[rows][::-1],
-            self.A_val[rows][::-1],
-            self.b_val[rows][::-1],
+            self._A_train_rev[rows],
+            self._A_val_rev[rows],
+            self._b_val_rev[rows],
             d_inv,
             y,
             window.u[:m],
+            self._window_work,
         )
         return self._apply_neg_jac(x, y, acc) / window.W
 
@@ -362,9 +401,11 @@ class ElasticNetStream(HOStream):
         root = np.sqrt(y * y + self.mu**2)
         return base + s * self.mu**2 / root**3
 
-    def _grad_y_g_extra(self, x, y) -> np.ndarray:
+    def _grad_y_g_extra_at(self, x):
+        ridge = super()._grad_y_g_extra_at(x)
         s = np.exp(self._smooth_block(x))
-        return super()._grad_y_g_extra(x, y) + s * y / np.sqrt(y * y + self.mu**2)
+        mu2 = self.mu**2
+        return lambda y: ridge(y) + s * y / np.sqrt(y * y + mu2)
 
     def _g_extra(self, x, y) -> float:
         s = np.exp(self._smooth_block(x))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oagd import ConfigError, EmptyDataset, NonConvexFlag, ParseError
+from oagd import ConfigError, EmptyDataset, NonConvexFlag, ParseError, regret
 from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -197,10 +197,16 @@ def test_run_experiment_writes_csv_and_meta(tmp_path):
     assert "bd_final" in meta_text or "bd" in meta_text
 
 
-def test_run_experiment_full_info_baseline(tmp_path):
+def test_run_experiment_full_info_baseline(tmp_path, monkeypatch):
+    # H_T is reported for the online run only; the baseline skips its own
+    h_calls = []
+    h_estimate = regret.h_estimate
+    monkeypatch.setattr(regret, "h_estimate",
+                        lambda *a, **k: h_calls.append(1) or h_estimate(*a, **k))
     cfg = parse_config(_write(tmp_path / "c.cfg", QUAD_CFG.format(out=tmp_path / "base")))
     cfg.baseline = "full_info"
     run_experiment(cfg)
+    assert len(h_calls) == 1
     assert (tmp_path / "base.baseline.csv").exists()
     meta_text = (tmp_path / "base.meta.txt").read_text(encoding="utf-8")
     assert "baseline.bd_final" in meta_text

@@ -6,6 +6,7 @@ import pytest
 from oagd import (
     DecisionPair,
     FeasibleSet,
+    HOStream,
     InnerSchedule,
     NonFiniteIterate,
     StepSizeSchedule,
@@ -118,6 +119,21 @@ def test_inner_divergence_reports_its_round():
         _run(stream, T=20, alpha=0.0, beta=9.0, K=50, init=(0.0, 1.0))
     assert info.value.round_index == 7
     assert str(info.value).startswith("round 7: ")
+
+
+def test_regression_inner_divergence_reports_its_round():
+    """Featureless ridge stream at x = 0: grad_y g = 2 y, so beta = 9 >>
+    2/ell_g1 = 1 multiplies y by -17 per fused step; from y = 1 that
+    overflows float64 on step 251, in round ceil(251 / 50) = 6. The zero
+    validation rows keep the hypergradient at 0 until then."""
+    zeros = np.zeros((10, 3))
+    stream = HOStream(zeros, np.zeros(10), zeros, np.zeros(10), d1=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
+        oagd_run(stream, DecisionPair(x=np.zeros(1), y=np.ones(3)), FeasibleSet.unbounded(),
+                 make_weights("uniform", 3), StepSizeSchedule.constant(0.0),
+                 InnerSchedule.fixed(beta=9.0, K=50), T=10)
+    assert info.value.round_index == 6
+    assert str(info.value) == "round 6: inner iterate became non-finite"
 
 
 def test_infeasible_init_rejected():

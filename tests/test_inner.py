@@ -21,7 +21,7 @@ from oagd import (
     newton_to_tolerance,
     quadratic_round,
 )
-from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity
+from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity, stream_inner_gd
 from oagd.core import FeasibleSet
 
 
@@ -87,7 +87,7 @@ def test_inner_gd_raises_on_divergence():
     """beta far above 2/L makes the iterate grow geometrically until it
     overflows, which must surface as NonFiniteIterate."""
     rnd = _diag_quadratic([1.0])
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
         inner_gd(rnd, np.zeros(1), np.array([1.0]), beta=4.0, K=5000)
 
 
@@ -285,3 +285,20 @@ def test_inner_schedule_validation():
         InnerSchedule(beta=1.0, kind="custom")
     assert InnerSchedule.theorem_beta(3.0, 1.0) == pytest.approx(0.5)
     assert InnerSchedule.fixed(beta=1.0, K=2).k_max == DEFAULT_K_MAX
+
+
+def test_stream_inner_gd_paths_agree_and_validate():
+    """A regression stream takes its fused inner_steps, a plain list of
+    rounds the generic inner_gd; both give the same bits and reject K < 1
+    and beta <= 0."""
+    stream = HOStream(*_regression_tables(4, seed=4), d1=1)
+    rounds = [stream[i] for i in range(len(stream))]
+    x, y = np.array([0.3]), np.ones(4)
+    np.testing.assert_array_equal(
+        stream_inner_gd(stream, 3, x, y, 0.05, 9), stream_inner_gd(rounds, 3, x, y, 0.05, 9)
+    )
+    for s in (stream, rounds):
+        with pytest.raises(ValueError):
+            stream_inner_gd(s, 1, x, y, beta=0.05, K=0)
+        with pytest.raises(ValueError):
+            stream_inner_gd(s, 1, x, y, beta=0.0, K=1)

@@ -3,7 +3,7 @@ reference."""
 import numpy as np
 import pytest
 
-from oagd.kernels import quad_window_reduce, sm_window_accumulate
+from oagd.kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
 
 
 def _naive_sm(A, A_val, b_val, d_inv, y, u):
@@ -32,7 +32,8 @@ def test_sm_accumulate_matches_dense_solves():
     for seed in range(5):
         args = _case(seed)
         np.testing.assert_allclose(
-            sm_window_accumulate(*args), _naive_sm(*args), rtol=1e-10, atol=1e-12
+            sm_window_accumulate(*args, sm_workspace(7, 5)), _naive_sm(*args),
+            rtol=1e-10, atol=1e-12
         )
 
 
@@ -43,3 +44,13 @@ def test_quad_reduce_matches_naive_sum():
     xpy = 0.7
     expected = sum(u[i] * (xpy + s[i]) for i in range(9))
     assert quad_window_reduce(s, u, xpy) == pytest.approx(expected, rel=1e-13)
+
+
+def test_sm_accumulate_workspace_reuse_is_bit_identical():
+    """One workspace serves windows of any size up to its rows, and the
+    result does not depend on what an earlier call left in it."""
+    work = sm_workspace(12, 5)
+    for seed, m in ((0, 12), (1, 3), (2, 7), (3, 1)):
+        args = _case(seed, m=m)
+        assert np.array_equal(sm_window_accumulate(*args, work),
+                              sm_window_accumulate(*args, sm_workspace(m, 5)))

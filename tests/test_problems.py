@@ -20,6 +20,7 @@ from oagd import (
     windowed_hypergradient,
 )
 from oagd.hypergrad import HypergradientHistory
+from oagd.inner import inner_gd
 from oagd.problems import QUADRATIC_CONSTANTS, estimate_constants
 
 H = 1e-5
@@ -171,6 +172,25 @@ def test_ho_fast_window_matches_generic():
         hist = HypergradientHistory.from_stream(s, t, window.w)
         generic = windowed_hypergradient(hist, window, x, y)
         np.testing.assert_allclose(fast, generic, atol=1e-12)
+
+
+def test_fused_inner_steps_match_inner_gd():
+    """inner_steps is inner_gd on the round, bit for bit, for both ridge
+    shapes and both elastic-net shapes, and leaves its y untouched."""
+    rng = np.random.default_rng(20)
+    streams = (_small_ho(d1=1), _small_ho(d1=3),
+               _small_ho(d1=4, elastic=True), _small_ho(d1=6, elastic=True))
+    for s in streams:
+        for t in (1, 4, 6):
+            x = rng.uniform(-0.5, 0.5, size=s.d1)
+            y = rng.normal(size=3)
+            y_before = y.copy()
+            for K in (1, 7, 40):
+                fused = s.inner_steps(t, x, y, 0.05, K)
+                assert np.array_equal(fused, inner_gd(s[t - 1], x, y, 0.05, K))
+            assert np.array_equal(y, y_before)
+        with pytest.raises(StreamExhausted):
+            s.inner_steps(len(s) + 1, x, y, 0.05, 1)
 
 
 def test_ho_dimension_rules():
