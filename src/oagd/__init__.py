@@ -35,7 +35,6 @@ from .errors import (
     StreamExhausted,
 )
 from .hypergrad import (
-    HypergradientHistory,
     WeightWindow,
     hypergradient,
     make_weights,
@@ -81,7 +80,6 @@ __all__ = [
     "FactorizationFailure",
     "FeasibleSet",
     "HOStream",
-    "HypergradientHistory",
     "InnerSchedule",
     "NonConvexFlag",
     "NonFiniteIterate",

@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -197,18 +197,23 @@ _REGIMES = (
     "strongly_convex", "strongly_convex_static",
     "convex_dynamic", "convex_static", "nonconvex",
 )
-_BOOL_KEYS = {"report_static", "report_local", "report_h"}
-_INT_KEYS = {"T", "synthetic_stages", "k_max", "h_samples", "seed", "d1", "d2",
-             "shuffle_seed", "K"}
-_FLOAT_KEYS = {"window_gamma", "quad_a1_const", "quad_a2_const", "mu_smooth",
-               "noise_max", "set_half_width", "set_radius", "alpha", "beta",
-               "mu_f", "D", "x_low", "x_high", "y_bound", "oracle_tol",
-               "inner_oracle_tol"}
+
+
+def _config_types() -> dict:
+    """Each ExperimentConfig key's value type from its annotation;
+    Optional[X] parses as X."""
+    types = {}
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        if get_origin(hint) is Union:
+            (hint,) = [a for a in get_args(hint) if a is not type(None)]
+        types[name] = hint
+    return types
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat `key = value` file (one pair per line, # comments)."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Read a flat `key = value` file (one pair per line, # comments);
+    each value is parsed to its key's annotated type."""
+    types = _config_types()
     cfg = ExperimentConfig()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -219,17 +224,11 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            kind = types[key]
             try:
-                if key in _BOOL_KEYS:
-                    parsed = _parse_bool(value)
-                elif key in _INT_KEYS:
-                    parsed = int(value)
-                elif key in _FLOAT_KEYS:
-                    parsed = float(value)
-                else:
-                    parsed = value
+                parsed = _parse_bool(value) if kind is bool else kind(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
             setattr(cfg, key, parsed)
@@ -252,6 +251,16 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be comma-separated numbers, got {text!r}") from None
 
 
+def _check_window(w: str, name: str):
+    """Raise ConfigError unless w is a positive integer or 'T'."""
+    try:
+        if w.upper() == "T" or int(w) >= 1:
+            return
+    except ValueError:
+        pass
+    raise ConfigError(f"{name} must be a positive integer or 'T', got {w!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.problem not in _PROBLEMS:
         raise ConfigError(f"problem must be one of {_PROBLEMS}, got {cfg.problem!r}")
@@ -259,13 +268,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"T must be a positive integer, got {cfg.T}")
     if cfg.regime not in _REGIMES:
         raise ConfigError(f"regime must be one of {_REGIMES}, got {cfg.regime!r}")
-    w = cfg.window_w.strip()
-    if w.upper() != "T":
-        try:
-            if int(w) < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"window_w must be a positive integer or 'T', got {w!r}") from None
+    _check_window(cfg.window_w.strip(), "window_w")
     if cfg.window_kind not in ("uniform", "exponential"):
         raise ConfigError(f"window_kind must be uniform or exponential, got {cfg.window_kind!r}")
     if cfg.window_kind == "exponential" and cfg.window_gamma is None:
@@ -592,12 +595,7 @@ def _parse_windows(text: str) -> list:
     if not parts:
         raise ConfigError("--windows must list at least one window size")
     for p in parts:
-        if p.upper() != "T":
-            try:
-                if int(p) < 1:
-                    raise ValueError
-            except ValueError:
-                raise ConfigError(f"bad window size {p!r}") from None
+        _check_window(p, "window size")
     return parts
 
 

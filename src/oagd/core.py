@@ -133,7 +133,6 @@ class ProblemConstants:
     ell_f0, ell_f1: Lipschitz constants of f_t and grad f_t.
     ell_g1, ell_g2: Lipschitz constants of grad g_t and hess g_t.
     mu_g: inner strong convexity (> 0); mu_f: optional outer strong convexity.
-    M_bound: optional uniform bound on |f_t|.
 
     Constants are declared per problem, never estimated online; the schedule
     formulas consume them as ground truth.
@@ -145,7 +144,6 @@ class ProblemConstants:
     ell_g2: float
     mu_g: float
     mu_f: Optional[float] = None
-    M_bound: Optional[float] = None
 
     def __post_init__(self):
         for name in ("ell_f0", "ell_f1", "ell_g1", "ell_g2"):
@@ -160,8 +158,6 @@ class ProblemConstants:
                 raise ValueError("mu_f must be positive when given")
             if self.mu_f > self.ell_f1:
                 raise ValueError("mu_f <= ell_f1 required")
-        if self.M_bound is not None and self.M_bound <= 0:
-            raise ValueError("M_bound must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -224,6 +220,3 @@ class RoundFunctions:
     closed_form_x_star: Optional[Callable[[], np.ndarray]] = None
     closed_form_x_partial: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = field(default="round")
-
-    def value_pair(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        return float(self.f(x, y)), float(self.g(x, y))

@@ -14,12 +14,15 @@ evaluated at the same current pair and carrying its own round's curvature:
     (1/W) sum_{i=0}^{w-1} u_i * hg_{t-i}(x, y),    rounds t-i <= 0 contribute 0,
 
 with weights 1 = u_0 >= u_1 >= ... > 0 and W = sum u_i fixed independent of t
-(zero-padded rounds keep their weight in W).
+(zero-padded rounds keep their weight in W). windowed_hypergradient computes
+it term by term from any indexable stream of rounds and is the reference for
+the streams' windowed_hypergrad fast paths; stream_windowed_hypergradient
+takes a stream's fast path when it has one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -116,52 +119,23 @@ def make_weights(kind: str, w: int, gamma: Optional[float] = None) -> WeightWind
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-@dataclass
-class HypergradientHistory:
-    """The last w round handles, newest first.
-
-    Stores function handles rather than stale gradients: every term is
-    re-evaluated at the current iterate when the window is averaged. Rounds
-    with index <= 0 are simply absent and contribute zero.
-    """
-
-    t: int
-    rounds: Sequence[RoundFunctions]
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("round index must be >= 1")
-        if len(self.rounds) > self.t:
-            raise ValueError("history cannot hold more rounds than have elapsed")
-
-    @staticmethod
-    def from_stream(stream: Sequence[RoundFunctions], t: int, w: int) -> "HypergradientHistory":
-        """History for round t (1-based) with window size w: rounds t, t-1, ..."""
-        lo = max(0, t - w)
-        return HypergradientHistory(t=t, rounds=[stream[s] for s in range(t - 1, lo - 1, -1)])
-
-
-def windowed_hypergradient(
-    history: HypergradientHistory,
-    window: WeightWindow,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Weighted average (1/W) sum_i u_i hg_{t-i}(x, y) over the window.
+def windowed_hypergradient(stream, t: int, window: WeightWindow,
+                           x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weighted average (1/W) sum_i u_i hg_{t-i}(x, y) over rounds t, t-1,
+    ..., max(1, t-w+1) of a stream (t is 1-based).
 
     Each term computes its own M from its own round's curvature at the
-    shared current pair (x, y). Missing (zero-padded) rounds contribute a
-    zero vector but their weight stays in W.
+    shared current pair (x, y). Rounds before the first contribute zero but
+    their weight stays in W. A FactorizationFailure names the round whose
+    term failed.
     """
-    if len(history.rounds) > window.w:
-        raise ValueError("history longer than the window")
     x = np.asarray(x, dtype=float)
     acc = np.zeros(x.shape[0] if x.ndim else 1)
-    for i, rnd in enumerate(history.rounds):
+    for i in range(min(window.w, t)):
         try:
-            acc = acc + window.u[i] * hypergradient(rnd, x, y)
+            acc = acc + window.u[i] * hypergradient(stream[t - 1 - i], x, y)
         except FactorizationFailure as exc:
-            raise FactorizationFailure(str(exc), round_index=history.t - i) from exc
+            raise FactorizationFailure(str(exc), round_index=t - i) from exc
     return acc / window.W
 
 
@@ -169,9 +143,8 @@ def stream_windowed_hypergradient(stream, t: int, window: WeightWindow,
                                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The windowed hypergradient of round t (1-based) of a stream: the
     stream's own windowed_hypergrad(t, window, x, y) fast path when it has
-    one, else the generic per-round average over its last w rounds."""
+    one, else the generic windowed_hypergradient."""
     fast = getattr(stream, "windowed_hypergrad", None)
     if fast is not None:
         return fast(t, window, x, y)
-    hist = HypergradientHistory.from_stream(stream, t, window.w)
-    return windowed_hypergradient(hist, window, x, y)
+    return windowed_hypergradient(stream, t, window, x, y)

@@ -75,6 +75,9 @@ def _require_finite(z: np.ndarray) -> np.ndarray:
 #: quadratically near y* on a strongly convex g with a Lipschitz Hessian.
 NEWTON_MAX_ITERS = 100
 
+#: iterations allowed per projected-gradient solve (pgd_to_stationarity)
+PGD_MAX_ITERS = 100_000
+
 
 def newton_to_tolerance(
     round_fns: RoundFunctions,
@@ -135,8 +138,6 @@ def pgd_to_stationarity(
     fset: FeasibleSet,
     x0: np.ndarray,
     tol: float,
-    cap: int = 100_000,
-    init_step: float = 1.0,
 ) -> np.ndarray:
     """Projected gradient descent with backtracking until the projected
     stationarity residual ||x - project(x - grad)|| <= tol (1 + ||x||).
@@ -145,8 +146,9 @@ def pgd_to_stationarity(
     (1e-4/step) ||x+ - x||^2; accepted steps let the step size grow again.
     Once the required decrease falls below float64 resolution of the value,
     acceptance switches to strict descent of the stationarity residual with
-    the step frozen, as in newton_to_tolerance. Raises OracleDiverged on
-    cap hit or step collapse.
+    the step frozen, as in newton_to_tolerance. The step starts at 1.
+    Raises OracleDiverged on step collapse or after PGD_MAX_ITERS
+    iterations.
     """
 
     def residual_at(z: np.ndarray, g: np.ndarray) -> float:
@@ -155,10 +157,10 @@ def pgd_to_stationarity(
     x = np.asarray(x0, dtype=float).copy()
     x = project(fset, x)
     fx = float(value_fn(x))
-    step = float(init_step)
+    step = 1.0
     grad = np.asarray(grad_fn(x), dtype=float)
     res = residual_at(x, grad)
-    for _ in range(cap):
+    for _ in range(PGD_MAX_ITERS):
         if res <= tol * (1.0 + float(np.linalg.norm(x))):
             return x
         cand = project(fset, x - step * grad)
@@ -186,7 +188,7 @@ def pgd_to_stationarity(
                 residual=res,
             )
     raise OracleDiverged(
-        f"projected gradient residual still above tol {tol:.1e} after {cap} iterations",
+        f"projected gradient residual still above tol {tol:.1e} after {PGD_MAX_ITERS} iterations",
         residual=res,
     )
 

@@ -238,9 +238,6 @@ class HOStream:
         c2 = 2.0 * _ridge_diag(self._ridge_block(x), self.d2)
         return lambda y: c2 * y
 
-    def _grad_y_g_extra(self, x, y) -> np.ndarray:
-        return self._grad_y_g_extra_at(x)(y)
-
     def _grad_y_g_at(self, i: int, x):
         """z -> grad_y g(x, z) of round index i, for a fixed x."""
         a, b = self.A_train[i], float(self.b_train[i])
@@ -323,7 +320,7 @@ class HOStream:
             g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._g_extra(x, y)),
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: np.zeros(self.d2),
-            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._grad_y_g_extra(x, y),
+            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._grad_y_g_extra_at(x)(y),
             jac_xy_g=self._jac_xy,
             hess_yy_g=lambda x, y: A.T @ A / n + np.diag(self._hess_diag(x, y)),
             label="full batch",
@@ -425,32 +422,30 @@ class ElasticNetStream(HOStream):
         return None  # the smoothed penalty has no closed-form minimizer
 
 
-def ho_stream(dataset, T: int, d1: int = 1, splits=("train", "val"),
-              fset: Optional[FeasibleSet] = None) -> HOStream:
-    """Build an HOStream from a loaded sample table.
-
-    splits[0] feeds the inner loss and splits[1] the outer loss; both are
-    consumed in row order, one row per round.
-    """
-    A_in, b_in = dataset.split(splits[0])
-    A_out, b_out = dataset.split(splits[1])
+def _round_tables(dataset, T: int):
+    """The first T rows of a sample table's train split (inner loss) and
+    validation split (outer loss): one row of each per round."""
+    A_in, b_in = dataset.split("train")
+    A_out, b_out = dataset.split("val")
     n = min(A_in.shape[0], A_out.shape[0])
     if T > n:
         raise StreamExhausted(n + 1, available=n)
-    return HOStream(A_in[:T], b_in[:T], A_out[:T], b_out[:T], d1=d1, fset=fset)
+    return A_in[:T], b_in[:T], A_out[:T], b_out[:T]
+
+
+def ho_stream(dataset, T: int, d1: int = 1,
+              fset: Optional[FeasibleSet] = None) -> HOStream:
+    """Build an HOStream from a loaded sample table: the train split feeds
+    the inner loss and the validation split the outer loss, both consumed
+    in row order, one row per round."""
+    return HOStream(*_round_tables(dataset, T), d1=d1, fset=fset)
 
 
 def elastic_net_stream(dataset, mu_smooth: float, T: int, d1: Optional[int] = None,
-                       splits=("train", "val"),
                        fset: Optional[FeasibleSet] = None) -> ElasticNetStream:
-    A_in, b_in = dataset.split(splits[0])
-    A_out, b_out = dataset.split(splits[1])
-    n = min(A_in.shape[0], A_out.shape[0])
-    if T > n:
-        raise StreamExhausted(n + 1, available=n)
-    return ElasticNetStream(
-        A_in[:T], b_in[:T], A_out[:T], b_out[:T], mu_smooth, d1=d1, fset=fset
-    )
+    """Build an ElasticNetStream from a loaded sample table, split into
+    rounds as in ho_stream."""
+    return ElasticNetStream(*_round_tables(dataset, T), mu_smooth, d1=d1, fset=fset)
 
 
 def estimate_constants(stream: HOStream, x_low: float, x_high: float,

@@ -42,8 +42,9 @@ def inner_oracle(round_fns, x, tol: float = INNER_ORACLE_TOL,
 
 
 def _composed_handles(round_fns, inner_tol, y_hint):
-    """Value and gradient of phi(x) = f(x, y*(x)) sharing one inner solve
-    per distinct x (the solve is warm started from the previous one)."""
+    """Value and gradient of phi(x) = f(x, y*(x)), and the inner solve they
+    share: one solve per distinct x, warm started from the previous one
+    (the first from y_hint)."""
     state = {"key": None, "y": y_hint}
 
     def solve(x):
@@ -59,7 +60,7 @@ def _composed_handles(round_fns, inner_tol, y_hint):
     def grad(x):
         return hypergradient(round_fns, x, solve(x))
 
-    return value, grad
+    return value, grad, solve
 
 
 def outer_oracle(round_fns, fset: FeasibleSet, tol: float = OUTER_ORACLE_TOL,
@@ -81,7 +82,7 @@ def outer_oracle(round_fns, fset: FeasibleSet, tol: float = OUTER_ORACLE_TOL,
         _warnings.warn(NonConvexFlag(
             "composed objective not known to be convex; returning a local stationary point"
         ))
-    value, grad = _composed_handles(round_fns, inner_tol, y_hint=y0)
+    value, grad, _ = _composed_handles(round_fns, inner_tol, y_hint=y0)
     return pgd_to_stationarity(value, grad, fset, np.asarray(x0, dtype=float), tol=tol)
 
 
@@ -107,25 +108,12 @@ class ComparatorSeries:
     def T(self) -> int:
         return self.x_star.shape[0]
 
-    def sliced(self, T: int) -> "ComparatorSeries":
-        """View of the first T rounds (static block carried over)."""
-        if T >= self.T:
-            return self
-        return ComparatorSeries(
-            x_star=self.x_star[:T], y_star=self.y_star[:T],
-            f_star=self.f_star[:T], grad_norm=self.grad_norm[:T],
-            provenance=self.provenance, x_static=self.x_static,
-            y_static=None if self.y_static is None else self.y_static[:T],
-            f_static=None if self.f_static is None else self.f_static[:T],
-        )
-
 
 def _stream_dims(stream) -> tuple[int, int]:
-    d1 = getattr(stream, "d1", None)
-    d2 = getattr(stream, "d2", None)
-    if d1 is None or d2 is None:
-        raise ValueError("stream does not expose d1/d2; pass dimensions explicitly")
-    return int(d1), int(d2)
+    missing = [name for name in ("d1", "d2") if getattr(stream, name, None) is None]
+    if missing:
+        raise ValueError(f"stream has no dimension attribute {' or '.join(missing)}")
+    return int(stream.d1), int(stream.d2)
 
 
 def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
@@ -180,50 +168,42 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
         grad_norm=grad_norm, provenance=provenance,
     )
     if include_static:
-        attach_static(series, stream, fset, T=T, tol=tol, inner_tol=inner_tol)
+        attach_static(series, stream, fset, tol=tol, inner_tol=inner_tol)
     return series
 
 
 def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
-                  T: Optional[int] = None, tol: float = OUTER_ORACLE_TOL,
+                  tol: float = OUTER_ORACLE_TOL,
                   inner_tol: float = INNER_ORACLE_TOL) -> ComparatorSeries:
-    """Fill the static comparator block of an existing series in place."""
-    if T is None:
-        T = series.T
-    d2 = series.y_star.shape[1]
+    """Fill the static comparator block of an existing series in place.
+
+    x_static minimizes the mean of the rounds' composed objectives: the
+    stream's closed form when it has one, else projected gradient descent
+    from the mean per-round comparator, with one composed handle per round
+    warm started from that round's y*_t. y_static and f_static are read
+    from the handles at x_static.
+    """
+    T, d2 = series.y_star.shape
+    # built lazily: a closed-form x_static reads each handle once, so only
+    # the numerical solve keeps all T of them alive
+    handles = (_composed_handles(stream[t], inner_tol, y_hint=series.y_star[t])
+               for t in range(T))
     closed_static = getattr(stream, "closed_form_static_comparator", None)
     if closed_static is not None:
         x_bar = np.asarray(closed_static(), dtype=float)
     else:
-        hints = series.y_star.copy()
-
-        def value(x):
-            total = 0.0
-            for t in range(T):
-                hints[t] = inner_oracle(stream[t], x, tol=inner_tol, y0=hints[t])
-                total += float(stream[t].f(x, hints[t]))
-            return total / T
-
-        def grad(x):
-            acc = np.zeros_like(x)
-            for t in range(T):
-                hints[t] = inner_oracle(stream[t], x, tol=inner_tol, y0=hints[t])
-                acc += hypergradient(stream[t], x, hints[t])
-            return acc / T
-
+        handles = list(handles)
         x_bar = pgd_to_stationarity(
-            value, grad, fset, series.x_star.mean(axis=0), tol=tol
+            lambda x: sum(value(x) for value, _, _ in handles) / T,
+            lambda x: sum(grad(x) for _, grad, _ in handles) / T,
+            fset, series.x_star.mean(axis=0), tol=tol,
         )
-    y_static = np.empty((T, d2))
-    f_static = np.empty(T)
-    y_prev = np.zeros(d2)
-    for t in range(T):
-        y_prev = inner_oracle(stream[t], x_bar, tol=inner_tol, y0=y_prev)
-        y_static[t] = y_prev
-        f_static[t] = stream[t].f(x_bar, y_prev)
     series.x_static = x_bar
-    series.y_static = y_static
-    series.f_static = f_static
+    series.y_static = np.empty((T, d2))
+    series.f_static = np.empty(T)
+    for t, (value, _, solve) in enumerate(handles):
+        series.y_static[t] = solve(x_bar)
+        series.f_static[t] = value(x_bar)
     return series
 
 
@@ -376,7 +356,8 @@ def compute_report(trace, stream, fset: FeasibleSet, window: WeightWindow,
     """Aggregate all metrics for a finished trace.
 
     A precomputed ComparatorSeries may be shared across traces of the same
-    stream (window sweeps); its static block is attached on demand.
+    stream (window sweeps); it must cover exactly the trace's rounds, and
+    its static block is attached on demand.
     """
     T = trace.T
     if comparators is None:
@@ -384,11 +365,10 @@ def compute_report(trace, stream, fset: FeasibleSet, window: WeightWindow,
             stream, fset, T=T, tol=tol, inner_tol=inner_tol,
             convex=convex, include_static=include_static,
         )
+    if comparators.T != T:
+        raise ValueError(f"comparator series covers {comparators.T} rounds, the trace {T}")
     if include_static and comparators.f_static is None:
-        attach_static(comparators, stream, fset, T=T, tol=tol, inner_tol=inner_tol)
-    if comparators.T < T:
-        raise ValueError("comparator series shorter than the trace")
-    comparators = comparators.sliced(T)
+        attach_static(comparators, stream, fset, tol=tol, inner_tol=inner_tol)
     bd = np.cumsum(trace.f_value - comparators.f_star)
     bs = np.cumsum(trace.f_value - comparators.f_static) if include_static else None
     bl = local_regret_series(trace, stream, window, inner_tol=inner_tol) if include_local else None

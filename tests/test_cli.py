@@ -1,7 +1,9 @@
 """Tests for the experiment runner: CSV loading, config parsing and
 validation, end-to-end runs, output files, sweeps, and error reporting."""
+import contextlib
 import csv
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,17 @@ seed = 9
     assert cfg.alpha == pytest.approx(0.25)
     assert cfg.report_static is False
     assert cfg.seed == 9
+
+    # a value for every key parses to the key's annotated type
+    samples = {bool: ("on", True), int: ("7", 7), float: ("0.5", 0.5), str: ("abc", "abc")}
+    unwrap = {typing.Optional[int]: int, typing.Optional[float]: float}
+    kinds = {name: unwrap.get(hint, hint)
+             for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+    text = "".join(f"{name} = {samples[kind][0]}\n" for name, kind in kinds.items())
+    cfg = parse_config(_write(tmp_path / "every.cfg", text))
+    for name, kind in kinds.items():
+        value = getattr(cfg, name)
+        assert type(value) is kind and value == samples[kind][1], name
 
 
 def test_parse_config_rejects_unknown_and_malformed(tmp_path):
@@ -288,19 +301,30 @@ output = {out}
     assert report.bd_regret.shape == (12,)
 
 
-def test_shipped_elastic_net_config_full_report(tmp_path):
-    """configs/elastic_net.cfg, cut to T = 10, runs with its static, local
-    and H_T reports on and writes finite values for all three."""
+def test_shipped_elastic_net_config_full_report(tmp_path, monkeypatch):
+    """Every configs/*.cfg passes `oagd validate` and runs cut to T = 12,
+    writing a keyed meta line per value and finite values for every report
+    it turns on; configs/elastic_net.cfg turns on its static, local and H_T
+    reports."""
     root = Path(__file__).resolve().parents[1]
-    cfg = parse_config(root / "configs" / "elastic_net.cfg")
-    assert cfg.report_static and cfg.report_local and cfg.report_h
-    cfg.T = 10
-    cfg.dataset = str(root / cfg.dataset)
-    cfg.output = str(tmp_path / "enet")
-    with pytest.warns(NonConvexFlag):
-        run_experiment(cfg)
-    lines = (tmp_path / "enet.meta.txt").read_text(encoding="utf-8").splitlines()
-    assert all(" = " in line for line in lines)
-    meta = dict(line.partition(" = ")[::2] for line in lines)
-    for key in ("report.bs_final", "report.bl_final", "report.h_T"):
-        assert math.isfinite(float(meta[key])), key
+    monkeypatch.chdir(root)  # shipped configs name their dataset relative to the repo root
+    paths = sorted((root / "configs").glob("*.cfg"))
+    enet = parse_config(root / "configs" / "elastic_net.cfg")
+    assert enet.report_static and enet.report_local and enet.report_h
+    for path in paths:
+        assert main(["validate", "--config", str(path)]) == 0, path.name
+        cfg = parse_config(path)
+        cfg.T = 12
+        cfg.output = str(tmp_path / path.stem)
+        expect_flag = pytest.warns(NonConvexFlag) if cfg.regime == "nonconvex" \
+            else contextlib.nullcontext()
+        with expect_flag:
+            run_experiment(cfg)
+        lines = Path(cfg.output + ".meta.txt").read_text(encoding="utf-8").splitlines()
+        assert all(" = " in line for line in lines), path.name
+        meta = dict(line.partition(" = ")[::2] for line in lines)
+        reports = {"report.bd_final": True, "report.bs_final": cfg.report_static,
+                   "report.bl_final": cfg.report_local, "report.h_T": cfg.report_h}
+        for key, on in reports.items():
+            if on:
+                assert math.isfinite(float(meta[key])), (path.name, key)

@@ -89,7 +89,7 @@ def test_iterates_stay_feasible():
 
 
 def test_generic_window_path_matches_fast_path():
-    """A bare list of rounds exercises the generic history-based window
+    """A bare list of rounds exercises the generic per-round window
     average; it must reproduce the stream fast path up to summation-order
     round-off."""
     stream = quadratic_stream("alt_sqrt", T=25)

@@ -7,7 +7,6 @@ import pytest
 
 from oagd import (
     FactorizationFailure,
-    HypergradientHistory,
     RoundFunctions,
     WeightWindow,
     hypergradient,
@@ -143,10 +142,6 @@ def test_weight_window_validation():
         WeightWindow(w=2, u=np.array([1.0, -0.1]), W=0.9)  # nonpositive
 
 
-def _history(stream_rounds, t, w):
-    return HypergradientHistory.from_stream(stream_rounds, t=t, w=w)
-
-
 def test_windowed_average_zero_pads_early_rounds():
     """At t = 1 with uniform weights and w = 3 the average is one third of
     the single available round's hypergradient."""
@@ -154,8 +149,7 @@ def test_windowed_average_zero_pads_early_rounds():
     window = make_weights("uniform", 3)
     x = np.array([0.2])
     y = np.array([0.5])
-    hist = _history([rnd], t=1, w=3)
-    avg = windowed_hypergradient(hist, window, x, y)
+    avg = windowed_hypergradient([rnd], 1, window, x, y)
     single = hypergradient(rnd, x, y)
     np.testing.assert_allclose(avg, single / 3.0, atol=1e-14)
 
@@ -167,27 +161,11 @@ def test_windowed_average_matches_manual_sum():
     x = np.array([0.1])
     y = np.array([-0.3])
     t = 6
-    hist = _history(rounds, t=t, w=4)
-    avg = windowed_hypergradient(hist, window, x, y)
+    avg = windowed_hypergradient(rounds, t, window, x, y)
     manual = np.zeros(1)
     for i in range(4):
         manual += window.u[i] * hypergradient(rounds[t - 1 - i], x, y)
     np.testing.assert_allclose(avg, manual / window.W, atol=1e-13)
-
-
-def test_history_newest_first_order():
-    rounds = [quadratic_round(float(i), 0.0, label=f"r{i}") for i in range(5)]
-    hist = _history(rounds, t=5, w=3)
-    assert [r.label for r in hist.rounds] == ["r4", "r3", "r2"]
-    assert hist.t == 5
-
-
-def test_history_longer_than_window_rejected():
-    rounds = [quadratic_round(0.0, 0.0) for _ in range(4)]
-    hist = HypergradientHistory(t=4, rounds=tuple(rounds))
-    window = make_weights("uniform", 3)
-    with pytest.raises(ValueError):
-        windowed_hypergradient(hist, window, np.array([0.0]), np.array([0.0]))
 
 
 def test_windowed_failure_names_offending_round():
@@ -195,8 +173,8 @@ def test_windowed_failure_names_offending_round():
     absolute round index of the offending term."""
     good = quadratic_round(0.0, 0.0)
     bad = dataclasses.replace(good, hess_yy_g=lambda x, y: np.array([[-1.0]]))
-    hist = HypergradientHistory(t=5, rounds=(good, bad, good))
+    rounds = (good, good, good, bad, good)
     window = make_weights("uniform", 3)
     with pytest.raises(FactorizationFailure) as info:
-        windowed_hypergradient(hist, window, np.array([0.0]), np.array([0.0]))
+        windowed_hypergradient(rounds, 5, window, np.array([0.0]), np.array([0.0]))
     assert info.value.round_index == 4

@@ -260,6 +260,14 @@ def test_k_for_round_strongly_convex_static():
     assert k_for_round(sched, QUAD_DERIVED, t=3) == (6, False)
 
 
+def test_k_for_round_nonconvex():
+    """kappa = 1, L_y = 1, M_f = 2, alpha = 1/2: c = 3 (1 + 4/4) = 6, so
+    K = ceil(log(max(36, W))): ceil(log 36) = 4 at W = 10 and
+    ceil(log 100) = 5 at W = 100."""
+    assert k_for_round(InnerSchedule.nonconvex(1.0, 0.5, 10.0), QUAD_DERIVED, t=1) == (4, False)
+    assert k_for_round(InnerSchedule.nonconvex(1.0, 0.5, 100.0), QUAD_DERIVED, t=7) == (5, False)
+
+
 def test_k_for_round_caps_and_flags():
     sched = InnerSchedule.convex_log_t(beta=1.0, k_max=3)
     k, capped = k_for_round(sched, QUAD_DERIVED, t=10)

@@ -19,7 +19,6 @@ from oagd import (
     synthesize,
     windowed_hypergradient,
 )
-from oagd.hypergrad import HypergradientHistory
 from oagd.inner import inner_gd
 from oagd.problems import QUADRATIC_CONSTANTS, estimate_constants
 
@@ -105,8 +104,7 @@ def test_quadratic_stream_fast_window_matches_generic():
     for t in (1, 3, 9):
         x, y = rng.normal(size=1), rng.normal(size=1)
         fast = s.windowed_hypergrad(t, window, x, y)
-        hist = HypergradientHistory.from_stream(s, t, window.w)
-        generic = windowed_hypergradient(hist, window, x, y)
+        generic = windowed_hypergradient(s, t, window, x, y)
         np.testing.assert_allclose(fast, generic, atol=1e-13)
     with pytest.raises(StreamExhausted):
         s.windowed_hypergrad(10, window, np.zeros(1), np.zeros(1))
@@ -162,16 +160,17 @@ def test_ho_closed_form_inner_solution():
 
 
 def test_ho_fast_window_matches_generic():
+    """Both ridge shapes: scalar (d1 = 1) and per-coordinate (d1 = d2)."""
     rng = np.random.default_rng(16)
-    s = _small_ho(d1=1)
     window = make_weights("uniform", 4)
-    for t in (1, 2, 6):
-        x = rng.uniform(0.2, 1.5, size=1)
-        y = rng.normal(size=3)
-        fast = s.windowed_hypergrad(t, window, x, y)
-        hist = HypergradientHistory.from_stream(s, t, window.w)
-        generic = windowed_hypergradient(hist, window, x, y)
-        np.testing.assert_allclose(fast, generic, atol=1e-12)
+    for d1 in (1, 3):
+        s = _small_ho(d1=d1)
+        for t in (1, 2, 6):
+            x = rng.uniform(0.2, 1.5, size=d1)
+            y = rng.normal(size=3)
+            fast = s.windowed_hypergrad(t, window, x, y)
+            generic = windowed_hypergradient(s, t, window, x, y)
+            np.testing.assert_allclose(fast, generic, atol=1e-12)
 
 
 def test_fused_inner_steps_match_inner_gd():
@@ -215,15 +214,18 @@ def test_elastic_net_round_derivatives():
 
 
 def test_elastic_net_fast_window_matches_generic():
+    """Both elastic-net shapes: scalar ridge block (d1 = d2 + 1) and
+    per-coordinate ridge block (d1 = 2 d2)."""
     rng = np.random.default_rng(19)
-    s = _small_ho(d1=4, elastic=True)
     window = make_weights("exponential", 3, gamma=0.8)
-    x = np.concatenate([rng.normal(size=3) * 0.3, rng.uniform(0.2, 1.0, size=1)])
-    y = rng.normal(size=3)
-    fast = s.windowed_hypergrad(5, window, x, y)
-    hist = HypergradientHistory.from_stream(s, 5, window.w)
-    generic = windowed_hypergradient(hist, window, x, y)
-    np.testing.assert_allclose(fast, generic, atol=1e-12)
+    for d1 in (4, 6):
+        s = _small_ho(d1=d1, elastic=True)
+        for t in (1, 5):
+            x = np.concatenate([rng.normal(size=3) * 0.3, rng.uniform(0.2, 1.0, size=d1 - 3)])
+            y = rng.normal(size=3)
+            fast = s.windowed_hypergrad(t, window, x, y)
+            generic = windowed_hypergradient(s, t, window, x, y)
+            np.testing.assert_allclose(fast, generic, atol=1e-12)
 
 
 def test_elastic_net_has_no_closed_form_inner():

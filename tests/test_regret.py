@@ -25,7 +25,7 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
 )
-from oagd.regret import attach_static, kronecker_points
+from oagd.regret import INNER_ORACLE_TOL, attach_static, kronecker_points
 
 
 def _strip(rnd):
@@ -124,6 +124,10 @@ def test_attach_static_numeric_minimizes_average():
     assert np.isnan(nan_paths[2])
     attach_static(series, rounds, fset)
     np.testing.assert_allclose(series.x_static, [0.1], atol=1e-7)
+    for t, rnd in enumerate(rounds.rounds):
+        y_t = series.y_static[t]
+        assert np.linalg.norm(rnd.grad_y_g(series.x_static, y_t)) <= INNER_ORACLE_TOL
+        assert series.f_static[t] == rnd.f(series.x_static, y_t)
 
 
 def test_path_lengths_piecewise_example():
@@ -247,9 +251,15 @@ def test_compute_report_accepts_shared_comparators():
     series = comparator_series(stream, stream.fset)
     report = compute_report(trace, stream, stream.fset, window, comparators=series)
     assert report.provenance == "closed_form"
+    bare = comparator_series(stream, stream.fset, include_static=False)
+    on_demand = compute_report(trace, stream, stream.fset, window, comparators=bare)
+    assert bare.f_static is not None
+    np.testing.assert_allclose(on_demand.bs_regret, report.bs_regret, atol=1e-12)
     short = comparator_series(stream, stream.fset, T=10)
-    with pytest.raises(ValueError):
-        compute_report(trace, stream, stream.fset, window, comparators=short)
+    longer = comparator_series(quadratic_stream("alt_sqrt", T=trace.T + 5), stream.fset)
+    for other in (short, longer):
+        with pytest.raises(ValueError):
+            compute_report(trace, stream, stream.fset, window, comparators=other)
 
 
 def test_compute_report_optional_blocks_off():
