@@ -193,6 +193,7 @@ class ExperimentConfig:
 
 
 _PROBLEMS = ("quadratic", "ho", "elastic_net", "synthetic")
+_BASELINES = ("none", "full_info")
 _REGIMES = (
     "strongly_convex", "strongly_convex_static",
     "convex_dynamic", "convex_static", "nonconvex",
@@ -281,6 +282,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("synthetic problem needs d2")
     if cfg.set_kind and cfg.set_kind not in ("box", "ball", "unbounded"):
         raise ConfigError(f"set_kind must be box, ball, or unbounded, got {cfg.set_kind!r}")
+    if cfg.baseline not in _BASELINES:
+        raise ConfigError(f"baseline must be one of {_BASELINES}, got {cfg.baseline!r}")
+    if cfg.baseline == "full_info" and cfg.problem != "quadratic":
+        # the regression families' f reads only y, so argmin_x f_t(x, y) is
+        # every feasible x and the baseline would replay its initial x
+        raise ConfigError(
+            f"baseline = full_info never moves x on problem {cfg.problem}: "
+            "its outer loss does not depend on x"
+        )
     return cfg
 
 

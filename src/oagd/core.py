@@ -202,7 +202,9 @@ class RoundFunctions:
     returns the (d2, d2) inner Hessian.
 
     Optional handles:
-      closed_form_y_star(x): exact inner minimizer.
+      closed_form_y_star(x): exact inner minimizer. It also accepts a batch
+        x of shape (P, d1) and returns the (P, d2) minimizers row by row, so
+        a caller can solve a whole point cloud in one call.
       closed_form_x_star(): exact outer comparator (the round captures its
         feasible set at construction, hence no argument).
       closed_form_x_partial(y): exact argmin_x f(x, y) with y held fixed,

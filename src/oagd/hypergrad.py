@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import RoundFunctions
 from .errors import FactorizationFailure
@@ -36,13 +36,14 @@ SOLVE_RESIDUAL_RTOL = 1e-10
 
 def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve hess z = rhs by one Cholesky factorization of the symmetric
-    positive definite hess. Raises FactorizationFailure when hess is not
+    positive definite hess (LAPACK potrf, then potrs; only the lower
+    triangle is read). Raises FactorizationFailure when hess is not
     numerically positive definite."""
-    try:
-        factor = cho_factor(hess, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise FactorizationFailure(f"inner Hessian not positive definite: {exc}") from exc
-    return cho_solve(factor, rhs, check_finite=False)
+    factor, info = dpotrf(hess, lower=1, clean=0)
+    if info != 0:
+        raise FactorizationFailure(f"inner Hessian not positive definite: potrf info {info}")
+    z, _ = dpotrs(factor, rhs, lower=1)
+    return z
 
 
 def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:

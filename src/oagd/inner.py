@@ -79,6 +79,14 @@ NEWTON_MAX_ITERS = 100
 PGD_MAX_ITERS = 100_000
 
 
+def _resolvable(decrease: float, value: float) -> bool:
+    """Whether an Armijo decrease required of value is above its float64
+    resolution, taken as 1e-15 |value| (relative, so an objective of size
+    1e-6 still gets Armijo steps). The floor on |value| keeps the threshold
+    positive at value = 0, where the endgame would otherwise be unreachable."""
+    return decrease > 1e-15 * max(abs(value), 1e-300)
+
+
 def newton_to_tolerance(
     round_fns: RoundFunctions,
     x: np.ndarray,
@@ -114,7 +122,7 @@ def newton_to_tolerance(
             cgrad = np.asarray(round_fns.grad_y_g(x, cand), dtype=float)
             cres = float(np.linalg.norm(cgrad))
             required = step * unit_drop
-            if required > 1e-15 * (1.0 + abs(val)):
+            if _resolvable(required, val):
                 if math.isfinite(cval) and cval <= val - required:
                     break
             elif cres < res:  # endgame: the decrease is below float64 resolution of g
@@ -166,7 +174,7 @@ def pgd_to_stationarity(
         cand = project(fset, x - step * grad)
         move = float(np.sum((cand - x) ** 2))
         required = 1e-4 / step * move
-        if required > 1e-15 * (1.0 + abs(fx)):
+        if _resolvable(required, fx):
             fc = float(value_fn(cand))
             if math.isfinite(fc) and fc <= fx - required:
                 x, fx = cand, fc

@@ -74,7 +74,7 @@ def quadratic_round(
         grad_y_g=lambda x, y: np.array([y[0] - x[0] + a2]),
         jac_xy_g=lambda x, y: np.array([[-1.0]]),
         hess_yy_g=lambda x, y: np.array([[1.0]]),
-        closed_form_y_star=lambda x: np.array([x[0] - a2]),
+        closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
         closed_form_x_partial=lambda y: project(fset, np.array([-2.0 * a1])),
         label=label,
@@ -174,10 +174,12 @@ def quadratic_stream(
 
 
 def _ridge_diag(x_ridge: np.ndarray, d2: int) -> np.ndarray:
-    """diag of C(x): exp(x) broadcast when the ridge block is scalar."""
-    if x_ridge.shape[0] == 1:
-        return np.full(d2, np.exp(x_ridge[0]))
-    return np.exp(x_ridge)
+    """diag of C(x) over the last axis: exp(x) broadcast to d2 entries when
+    the ridge block is scalar."""
+    c = np.exp(x_ridge)
+    if x_ridge.shape[-1] == 1:
+        return np.full(x_ridge.shape[:-1] + (d2,), c)
+    return c
 
 
 class HOStream:
@@ -263,13 +265,14 @@ class HOStream:
         return np.diag(2.0 * c * y)
 
     def _closed_form_y_star(self, i: int):
+        """x -> y*(x) = b D^{-1} a / (1 + a^T D^{-1} a) by Sherman-Morrison,
+        over the last axis of x: one point (d1,) or a batch (P, d1)."""
         a = self.A_train[i]
         b = self.b_train[i]
 
         def y_star(x):
-            d = self._hess_diag(x, None)
-            da = a / d
-            return b * da / (1.0 + a @ da)
+            da = a / self._hess_diag(x, None)
+            return b * da / (1.0 + da @ a)[..., None]
 
         return y_star
 

@@ -32,13 +32,18 @@ OUTER_ORACLE_TOL = 1e-10
 
 def inner_oracle(round_fns, x, tol: float = INNER_ORACLE_TOL,
                  y0: Optional[np.ndarray] = None) -> np.ndarray:
-    """y*_t(x): closed form when available, else damped Newton from y0
-    until the inner gradient norm falls below tol."""
+    """y*_t(x) at one point x (d1,), or at every row of a batch x (P, d1)
+    with y0 (P, d2): the closed form when available (one call for the whole
+    batch), else damped Newton per point from y0 until the inner gradient
+    norm falls below tol."""
     if round_fns.closed_form_y_star is not None:
         return np.asarray(round_fns.closed_form_y_star(x), dtype=float)
     if y0 is None:
         raise ValueError("y0 is required when the round has no closed-form inner solution")
-    return newton_to_tolerance(round_fns, np.asarray(x, dtype=float), y0, tol=tol)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return np.array([newton_to_tolerance(round_fns, p, y, tol=tol) for p, y in zip(x, y0)])
+    return newton_to_tolerance(round_fns, x, y0, tol=tol)
 
 
 def _composed_handles(round_fns, inner_tol, y_hint):
@@ -279,7 +284,9 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
     The supremum is taken over a finite point cloud (quasi-random points
     plus box corners when affordable; for unbounded sets the cloud covers
     the visited x range padded by 1), so the value underestimates the true
-    supremum.
+    supremum. Each round solves the whole cloud in one inner_oracle call:
+    a batched closed form, or damped Newton per point warm started from the
+    previous round's solution at that point.
     """
     d1, d2 = _stream_dims(stream)
     if T is None:
@@ -287,17 +294,12 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
     if T < 2:
         return 0.0
     pts = _sample_points(fset, d1, n_samples, trace_x=trace_x)
-    prev = np.empty((pts.shape[0], d2))
-    cur = np.empty((pts.shape[0], d2))
-    for j, p in enumerate(pts):
-        prev[j] = inner_oracle(stream[0], p, tol=inner_tol, y0=np.zeros(d2))
+    prev = inner_oracle(stream[0], pts, tol=inner_tol, y0=np.zeros((pts.shape[0], d2)))
     total = 0.0
     for t in range(1, T):
-        rnd = stream[t]
-        for j, p in enumerate(pts):
-            cur[j] = inner_oracle(rnd, p, tol=inner_tol, y0=prev[j])
+        cur = inner_oracle(stream[t], pts, tol=inner_tol, y0=prev)
         total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
-        prev, cur = cur, prev
+        prev = cur
     return total
 
 

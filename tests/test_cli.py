@@ -165,6 +165,28 @@ def test_validate_config_errors():
     assert validate_config(_base_cfg()).problem == "quadratic"
 
 
+def test_validate_config_rejects_silent_baselines(tmp_path, capsys):
+    """A misspelt baseline would run with none, and full_info on a family
+    whose f ignores x would replay the initial x every round; both are
+    ConfigErrors at validate time."""
+    with pytest.raises(ConfigError, match="baseline must be one of"):
+        validate_config(_base_cfg(baseline="full-info"))
+    regression = (
+        dict(problem="ho", dataset="x.csv"),
+        dict(problem="elastic_net", dataset="x.csv", mu_smooth=1.0),
+        dict(problem="synthetic", d2=3),
+    )
+    for overrides in regression:
+        assert validate_config(_base_cfg(**overrides)).baseline == "none"
+        with pytest.raises(ConfigError, match="never moves x"):
+            validate_config(_base_cfg(baseline="full_info", **overrides))
+    assert validate_config(_base_cfg(baseline="full_info")).baseline == "full_info"
+    path = _write(tmp_path / "b.cfg", "problem = synthetic\nT = 4\nregime = convex_static\n"
+                  "d2 = 3\nbaseline = full_info\n")
+    assert main(["validate", "--config", path]) == 1
+    assert "error_category=ConfigError" in capsys.readouterr().err
+
+
 def test_resolved_window_literal():
     assert _base_cfg(window_w="17").resolved_window() == 17
     assert _base_cfg(window_w="T").resolved_window() == 8

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from oagd import (
     FactorizationFailure,
@@ -15,6 +16,7 @@ from oagd import (
     solve_M,
     windowed_hypergradient,
 )
+from oagd.hypergrad import cholesky_solve
 
 
 def test_solve_m_diagonal_example():
@@ -41,6 +43,29 @@ def test_solve_m_rejects_indefinite_hessian():
         solve_M(np.diag([1.0, -1.0]), np.array([[1.0, 1.0]]))
     with pytest.raises(FactorizationFailure):
         solve_M(np.zeros((2, 2)), np.array([[1.0, 1.0]]))
+
+
+def test_cholesky_solve_matches_scipy_reference():
+    """The direct LAPACK potrf/potrs calls return cho_factor/cho_solve's
+    bits for vector and matrix right-hand sides (C and Fortran order), and
+    leave their inputs untouched."""
+    rng = np.random.default_rng(30)
+    for d in (1, 5, 8):
+        B = rng.normal(size=(d, d))
+        hess = B @ B.T + 0.5 * np.eye(d)
+        hess_before = hess.copy()
+        for rhs in (rng.normal(size=d), rng.normal(size=(d, 3)), rng.normal(size=(3, d)).T):
+            rhs_before = rhs.copy()
+            reference = cho_solve(cho_factor(hess, lower=True), rhs)
+            assert np.array_equal(cholesky_solve(hess, rhs), reference)
+            assert np.array_equal(rhs, rhs_before)
+        assert np.array_equal(hess, hess_before)
+
+
+def test_cholesky_solve_rejects_indefinite_and_zero_hessians():
+    for hess in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):
+        with pytest.raises(FactorizationFailure, match="not positive definite"):
+            cholesky_solve(hess, np.ones(2))
 
 
 def test_hypergradient_matches_composed_derivative_quadratic():

@@ -159,6 +159,26 @@ def test_ho_closed_form_inner_solution():
         assert np.linalg.norm(s[i].grad_y_g(x, y_star)) <= 1e-12
 
 
+def test_closed_forms_accept_point_batches():
+    """closed_form_y_star on a (P, d1) batch returns (P, d2) rows equal to
+    the single-point calls: bit for bit for the quadratic, within 1e-14 for
+    ridge rounds with d1 = 1 and d1 = d2."""
+    rng = np.random.default_rng(21)
+    rnd = quadratic_round(0.3, -0.7)
+    X = rng.uniform(-1.0, 1.0, size=(40, 1))
+    batch = rnd.closed_form_y_star(X)
+    assert batch.shape == (40, 1)
+    assert np.array_equal(batch, np.array([rnd.closed_form_y_star(x) for x in X]))
+    for d1 in (1, 3):
+        s = _small_ho(d1=d1)
+        X = rng.uniform(-2.0, 2.0, size=(40, d1))
+        for i in range(len(s)):
+            y_star = s[i].closed_form_y_star
+            batch = y_star(X)
+            assert batch.shape == (40, 3)
+            np.testing.assert_allclose(batch, np.array([y_star(x) for x in X]), rtol=0, atol=1e-14)
+
+
 def test_ho_fast_window_matches_generic():
     """Both ridge shapes: scalar (d1 = 1) and per-coordinate (d1 = d2)."""
     rng = np.random.default_rng(16)

@@ -9,9 +9,12 @@ import pytest
 from oagd import (
     ComparatorSeries,
     DecisionPair,
+    ElasticNetStream,
     FeasibleSet,
+    HOStream,
     InnerSchedule,
     NonConvexFlag,
+    RoundFunctions,
     StepSizeSchedule,
     comparator_series,
     compute_report,
@@ -25,7 +28,7 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
 )
-from oagd.regret import INNER_ORACLE_TOL, attach_static, kronecker_points
+from oagd.regret import INNER_ORACLE_TOL, _sample_points, attach_static, kronecker_points
 
 
 def _strip(rnd):
@@ -79,6 +82,28 @@ def test_outer_oracle_numeric_matches_closed_form():
             _strip(rnd), fset, x0=np.zeros(1), y0=np.zeros(1), tol=1e-11
         )
         np.testing.assert_allclose(got, expected, atol=1e-8)
+
+
+def test_outer_oracle_small_objective_from_box_edge():
+    """A composed objective of size 1e-6, phi(x) = f(x, y*(x)) with
+    y*(x) = x, warm started at the box edge x = 3: phi(3) ~ 8.6e-7 and
+    phi'(3) ~ 1.5e-6, so the first Armijo decrease (~2e-16) is far above
+    the float64 resolution of phi and the solve must reach the interior
+    minimizer instead of stalling."""
+    scale, center, offset = 1.96e-6, 2.2346, 2.86e-7
+    rnd = RoundFunctions(
+        f=lambda x, y: scale * 0.5 * (y[0] - center) ** 2 + offset,
+        g=lambda x, y: 0.5 * y[0] ** 2 - x[0] * y[0],
+        grad_x_f=lambda x, y: np.zeros(1),
+        grad_y_f=lambda x, y: np.array([scale * (y[0] - center)]),
+        grad_y_g=lambda x, y: np.array([y[0] - x[0]]),
+        jac_xy_g=lambda x, y: np.array([[-1.0]]),
+        hess_yy_g=lambda x, y: np.array([[1.0]]),
+    )
+    fset = FeasibleSet.box([0.0], [3.0])
+    out = outer_oracle(rnd, fset, tol=1e-10, x0=np.array([3.0]), y0=np.zeros(1))
+    # stationarity: |phi'(x)| = scale |x - center| <= 1e-10 (1 + |x|)
+    assert scale * abs(out[0] - center) <= 1e-10 * (1.0 + abs(out[0]))
 
 
 def test_outer_oracle_nonconvex_flag():
@@ -181,6 +206,38 @@ def test_h_estimate_exact_for_shifting_quadratics():
     stream = quadratic_stream("custom", T=3, coefficients=(np.zeros(3), a2))
     h = h_estimate(stream, stream.fset)
     assert h == pytest.approx(0.25 + 1.0, rel=1e-12)
+
+
+def _h_per_point(stream, pts, tol=INNER_ORACLE_TOL):
+    """h_estimate's sum over a given cloud, one inner_oracle call per point
+    and round, warm started from the point's previous solution."""
+    prev = np.array([inner_oracle(stream[0], p, tol=tol, y0=np.zeros(stream.d2)) for p in pts])
+    total = 0.0
+    for t in range(1, len(stream)):
+        cur = np.array([inner_oracle(stream[t], p, tol=tol, y0=y) for p, y in zip(pts, prev)])
+        total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
+        prev = cur
+    return total
+
+
+def test_h_estimate_matches_per_point_oracle():
+    """One batched call per round equals the per-point loop: exactly for
+    the quadratic closed form and the elastic net's per-point Newton, within
+    1e-12 for ridge closed forms with d1 = 1 and d1 = d2."""
+    rng = np.random.default_rng(40)
+    T, d2, n = 6, 3, 12
+    tables = (rng.normal(size=(T, d2)), rng.normal(size=T),
+              rng.normal(size=(T, d2)), rng.normal(size=T))
+    quad = quadratic_stream("alt_sqrt", T=T)
+    cases = [(quad, quad.fset, 0.0),
+             (HOStream(*tables, d1=1), FeasibleSet.box([-1.0], [1.0]), 1e-12),
+             (HOStream(*tables, d1=d2), FeasibleSet.symmetric_box(1.0, d2), 1e-12),
+             (ElasticNetStream(*tables, mu_smooth=0.5), FeasibleSet.symmetric_box(1.0, d2 + 1), 0.0)]
+    for stream, fset, rel in cases:
+        pts = _sample_points(fset, stream.d1, n)
+        h = h_estimate(stream, fset, n_samples=n)
+        assert h > 0.0
+        assert h == pytest.approx(_h_per_point(stream, pts), rel=rel, abs=0.0)
 
 
 def _small_run(T=15, w=3):
