@@ -176,7 +176,6 @@ class ExperimentConfig:
     x_high: float = 3.0
     y_bound: float = 10.0
     oracle_tol: float = 1e-10
-    inner_oracle_tol: float = 1e-12
     h_samples: int = 128
     report_static: bool = True
     report_local: bool = True
@@ -193,6 +192,9 @@ class ExperimentConfig:
 
 
 _PROBLEMS = ("quadratic", "ho", "elastic_net", "synthetic")
+# quadratic_stream's "custom" rule takes coefficient tables a config cannot give
+_QUAD_RULES = ("alt_sqrt", "constant")
+_QUAD_A1_MODES = ("match", "zero")
 _BASELINES = ("none", "full_info")
 _REGIMES = (
     "strongly_convex", "strongly_convex_static",
@@ -274,6 +276,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"window_kind must be uniform or exponential, got {cfg.window_kind!r}")
     if cfg.window_kind == "exponential" and cfg.window_gamma is None:
         raise ConfigError("exponential windows need window_gamma in (0, 1)")
+    if cfg.quad_rule not in _QUAD_RULES:
+        raise ConfigError(f"quad_rule must be one of {_QUAD_RULES}, got {cfg.quad_rule!r}")
+    if cfg.quad_a1_mode not in _QUAD_A1_MODES:
+        raise ConfigError(
+            f"quad_a1_mode must be one of {_QUAD_A1_MODES}, got {cfg.quad_a1_mode!r}"
+        )
     if cfg.problem in ("ho", "elastic_net") and not cfg.dataset:
         raise ConfigError(f"problem {cfg.problem} needs a dataset path")
     if cfg.problem == "elastic_net" and (cfg.mu_smooth is None or cfg.mu_smooth <= 0):
@@ -317,6 +325,20 @@ def _build_fset(cfg: ExperimentConfig, d1: int) -> FeasibleSet:
     return FeasibleSet.ball(center, cfg.set_radius)
 
 
+def _x_range(cfg: ExperimentConfig, fset: FeasibleSet) -> tuple:
+    """[x_low, x_high] cut to the coordinate range a box allows: the range
+    over which the regression constants are estimated."""
+    low, high = cfg.x_low, cfg.x_high
+    if fset.kind == "box":
+        low = max(low, float(fset.lower.min()))
+        high = min(high, float(fset.upper.max()))
+    if low > high:
+        raise ConfigError(
+            f"[x_low, x_high] = [{cfg.x_low:g}, {cfg.x_high:g}] leaves no feasible x"
+        )
+    return low, high
+
+
 @dataclass
 class _Prepared:
     stream: object
@@ -353,7 +375,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
             stages=stages, d1=d1, d2=d2, noise_max=cfg.noise_max,
             seed=cfg.seed, mu_smooth=cfg.mu_smooth, fset=fset,
         ))
-        constants = estimate_constants(data.stream, cfg.x_low, cfg.x_high, cfg.y_bound)
+        constants = estimate_constants(data.stream, *_x_range(cfg, fset), cfg.y_bound)
         return _Prepared(data.stream, fset, constants, d1, d2)
     table = load_csv(cfg.dataset, label_column=cfg.label_column or None,
                      shuffle_seed=cfg.shuffle_seed)
@@ -366,7 +388,7 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
         d1 = cfg.d1 if cfg.d1 is not None else d2 + 1
         fset = _build_fset(cfg, d1)
         stream = elastic_net_stream(table, cfg.mu_smooth, cfg.T, d1=d1, fset=fset)
-    constants = estimate_constants(stream, cfg.x_low, cfg.x_high, cfg.y_bound)
+    constants = estimate_constants(stream, *_x_range(cfg, fset), cfg.y_bound)
     return _Prepared(stream, fset, constants, d1, d2, dataset=table)
 
 
@@ -380,6 +402,12 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
         constants.ell_g1, constants.mu_g)
     if cfg.beta is not None:
         prep.notes.append(f"beta = {cfg.beta:g} (override)")
+    if beta >= 2.0 / constants.ell_g1:
+        # past 2/ell_g1 a gradient step on g_t no longer contracts toward y*
+        raise ConfigError(
+            f"beta = {beta:g} breaks the inner contraction condition "
+            f"beta < 2/ell_g1 = {2.0 / constants.ell_g1:.6g}"
+        )
 
     def need_mu_f():
         if mu_f is None:
@@ -435,6 +463,20 @@ def _initial_pair(cfg: ExperimentConfig, prep: _Prepared) -> DecisionPair:
     else:
         y = np.zeros(prep.d2)
     return DecisionPair(x=x, y=y)
+
+
+def _set_up(cfg: ExperimentConfig):
+    """What `validate` checks and `run` builds on: the prepared stream, the
+    window, the schedules and the initial pair. A value the library rejects
+    on the way (ValueError) is a config mistake."""
+    try:
+        prep = prepare(cfg)
+        window = make_weights(cfg.window_kind, cfg.resolved_window(), gamma=cfg.window_gamma)
+        steps, inner, derived = build_schedules(cfg, prep, window)
+        init = _initial_pair(cfg, prep)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return prep, window, steps, inner, derived, init
 
 
 def _write_csv(path: Path, trace: Trace, report: RegretReport):
@@ -535,27 +577,17 @@ def test_error(prep: _Prepared, x_final: np.ndarray) -> float:
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True):
     """Execute one configured run; returns (trace, report, meta lines)."""
-    prep = prepare(cfg)
-    w = cfg.resolved_window()
-    window = make_weights(cfg.window_kind, w, gamma=cfg.window_gamma)
-    steps, inner, derived = build_schedules(cfg, prep, window)
-    init = _initial_pair(cfg, prep)
+    prep, window, steps, inner, derived, init = _set_up(cfg)
     trace = oagd_run(prep.stream, init, prep.fset, window, steps, inner,
                      cfg.T, constants=derived)
     comparators = comparator_series(
-        prep.stream, prep.fset, T=cfg.T,
-        tol=cfg.oracle_tol, inner_tol=cfg.inner_oracle_tol,
+        prep.stream, prep.fset, T=cfg.T, tol=cfg.oracle_tol,
         convex=cfg.regime != "nonconvex",
         include_static=cfg.report_static,
     )
-    report_kwargs = dict(
-        tol=cfg.oracle_tol, inner_tol=cfg.inner_oracle_tol,
-        h_samples=cfg.h_samples, comparators=comparators,
-        include_static=cfg.report_static,
-        include_local=cfg.report_local,
-        include_h=cfg.report_h,
-    )
-    report = compute_report(trace, prep.stream, prep.fset, window, **report_kwargs)
+    report = compute_report(trace, prep.stream, prep.fset, window, comparators,
+                            h_samples=cfg.h_samples, include_local=cfg.report_local,
+                            include_h=cfg.report_h)
     meta = _meta_lines(cfg, prep, window, steps, inner, derived, trace, report)
     if prep.dataset is not None:
         meta.append(f"test_error = {test_error(prep, trace.final_x)!r}")
@@ -566,12 +598,10 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.baseline == "full_info":
-        base_trace = full_info_run(prep.stream, init, prep.fset, cfg.T,
-                                   oracle_tol=cfg.oracle_tol)
+        base_trace = full_info_run(prep.stream, init, prep.fset, cfg.T)
         # the baseline's H_T is never reported, and it costs a full h_estimate
-        base_report = compute_report(
-            base_trace, prep.stream, prep.fset, window, **{**report_kwargs, "include_h": False}
-        )
+        base_report = compute_report(base_trace, prep.stream, prep.fset, window, comparators,
+                                     include_local=cfg.report_local, include_h=False)
         meta.append(f"baseline.bd_final = {_final(base_report.bd_regret)!r}")
         if write:
             _write_csv(Path(cfg.output + ".baseline.csv"), base_trace, base_report)
@@ -621,10 +651,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command == "validate":
-            prep = prepare(cfg)
-            window = make_weights(cfg.window_kind, cfg.resolved_window(),
-                                  gamma=cfg.window_gamma)
-            build_schedules(cfg, prep, window)
+            _set_up(cfg)
             print(f"ok: {cfg.problem} T={cfg.T} regime={cfg.regime} w={cfg.resolved_window()}")
             return 0
         if args.command == "run":

@@ -20,8 +20,7 @@ import numpy as np
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable, StreamExhausted
 from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
-from .inner import (InnerSchedule, k_for_round, newton_to_tolerance, pgd_to_stationarity,
-                    stream_inner_gd)
+from .inner import InnerSchedule, k_for_round, stream_inner_gd
 
 
 def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
@@ -250,15 +249,13 @@ def full_info_run(
     init: DecisionPair,
     fset: FeasibleSet,
     T: int,
-    oracle_tol: Optional[float] = None,
 ) -> Trace:
     """Benchmark that plays the previous round's exact solutions.
 
-    After playing (x_t, y_t): y_{t+1} = argmin_y g_t(x_t, y) via the closed
-    form or, when oracle_tol is set, damped Newton to that residual;
-    x_{t+1} = argmin_{x in X} f_t(x, y_{t+1}) via the closed-form partial
-    minimizer, a projected-gradient solve on x -> f_t(x, y_{t+1}), or the
-    round's composed-objective minimizer, in that preference order.
+    After playing (x_t, y_t): y_{t+1} = argmin_y g_t(x_t, y) and
+    x_{t+1} = argmin_{x in X} f_t(x, y_{t+1}), from the round's closed forms
+    closed_form_y_star and closed_form_x_partial; a round without either
+    raises OracleUnavailable.
 
     Trace rows mark oracle steps with K_t = 0 and alpha_t = 0; the recorded
     hypergradient is the exact one at (x_t, y_{t+1}), kept for diagnostics.
@@ -270,30 +267,12 @@ def full_info_run(
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
         rnd = stream[t - 1]
-        if rnd.closed_form_y_star is not None:
-            y_next = np.asarray(rnd.closed_form_y_star(x), dtype=float)
-        elif oracle_tol is not None:
-            y_next = newton_to_tolerance(rnd, x, y, tol=oracle_tol)
-        else:
+        if rnd.closed_form_y_star is None or rnd.closed_form_x_partial is None:
             raise OracleUnavailable(
-                f"round {t} has no closed-form inner solution and no oracle tolerance was given"
+                f"round {t} has no closed-form inner solution or partial minimizer in x"
             )
-        if rnd.closed_form_x_partial is not None:
-            x_next = np.asarray(rnd.closed_form_x_partial(y_next), dtype=float)
-        elif oracle_tol is not None:
-            x_next = pgd_to_stationarity(
-                lambda v: rnd.f(v, y_next),
-                lambda v: np.asarray(rnd.grad_x_f(v, y_next), dtype=float),
-                fset,
-                x,
-                tol=oracle_tol,
-            )
-        elif rnd.closed_form_x_star is not None:
-            x_next = np.asarray(rnd.closed_form_x_star(), dtype=float)
-        else:
-            raise OracleUnavailable(
-                f"round {t} has no partial minimizer in x and no oracle tolerance was given"
-            )
+        y_next = np.asarray(rnd.closed_form_y_star(x), dtype=float)
+        x_next = np.asarray(rnd.closed_form_x_partial(y_next), dtype=float)
         i = t - 1
         trace.x[i] = x
         trace.y[i] = y

@@ -30,23 +30,23 @@ INNER_ORACLE_TOL = 1e-12
 OUTER_ORACLE_TOL = 1e-10
 
 
-def inner_oracle(round_fns, x, tol: float = INNER_ORACLE_TOL,
-                 y0: Optional[np.ndarray] = None) -> np.ndarray:
+def inner_oracle(round_fns, x, y0: Optional[np.ndarray] = None) -> np.ndarray:
     """y*_t(x) at one point x (d1,), or at every row of a batch x (P, d1)
     with y0 (P, d2): the closed form when available (one call for the whole
     batch), else damped Newton per point from y0 until the inner gradient
-    norm falls below tol."""
+    norm falls below INNER_ORACLE_TOL."""
     if round_fns.closed_form_y_star is not None:
         return np.asarray(round_fns.closed_form_y_star(x), dtype=float)
     if y0 is None:
         raise ValueError("y0 is required when the round has no closed-form inner solution")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return np.array([newton_to_tolerance(round_fns, p, y, tol=tol) for p, y in zip(x, y0)])
-    return newton_to_tolerance(round_fns, x, y0, tol=tol)
+        return np.array([newton_to_tolerance(round_fns, p, y, tol=INNER_ORACLE_TOL)
+                         for p, y in zip(x, y0)])
+    return newton_to_tolerance(round_fns, x, y0, tol=INNER_ORACLE_TOL)
 
 
-def _composed_handles(round_fns, inner_tol, y_hint):
+def _composed_handles(round_fns, y_hint):
     """Value and gradient of phi(x) = f(x, y*(x)), and the inner solve they
     share: one solve per distinct x, warm started from the previous one
     (the first from y_hint)."""
@@ -55,7 +55,7 @@ def _composed_handles(round_fns, inner_tol, y_hint):
     def solve(x):
         key = x.tobytes()
         if state["key"] != key:
-            state["y"] = inner_oracle(round_fns, x, tol=inner_tol, y0=state["y"])
+            state["y"] = inner_oracle(round_fns, x, y0=state["y"])
             state["key"] = key
         return state["y"]
 
@@ -69,25 +69,16 @@ def _composed_handles(round_fns, inner_tol, y_hint):
 
 
 def outer_oracle(round_fns, fset: FeasibleSet, tol: float = OUTER_ORACLE_TOL,
-                 inner_tol: float = INNER_ORACLE_TOL,
                  x0: Optional[np.ndarray] = None,
-                 y0: Optional[np.ndarray] = None,
-                 convex: bool = True) -> np.ndarray:
+                 y0: Optional[np.ndarray] = None) -> np.ndarray:
     """x*_t: closed form when available, else projected gradient descent on
-    the composed objective using exact hypergradients.
-
-    With convex=False the numerical result is only a stationary point; a
-    NonConvexFlag warning marks it as local.
-    """
+    the composed objective using exact hypergradients (a stationary point,
+    which is the minimizer only when the composed objective is convex)."""
     if round_fns.closed_form_x_star is not None:
         return np.asarray(round_fns.closed_form_x_star(), dtype=float)
     if x0 is None:
         raise ValueError("x0 is required when the round has no closed-form comparator")
-    if not convex:
-        _warnings.warn(NonConvexFlag(
-            "composed objective not known to be convex; returning a local stationary point"
-        ))
-    value, grad, _ = _composed_handles(round_fns, inner_tol, y_hint=y0)
+    value, grad, _ = _composed_handles(round_fns, y_hint=y0)
     return pgd_to_stationarity(value, grad, fset, np.asarray(x0, dtype=float), tol=tol)
 
 
@@ -123,15 +114,14 @@ def _stream_dims(stream) -> tuple[int, int]:
 
 def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
                       tol: float = OUTER_ORACLE_TOL,
-                      inner_tol: float = INNER_ORACLE_TOL,
                       convex: bool = True,
                       include_static: bool = True) -> ComparatorSeries:
-    """Solve every round's comparator pair, plus the static comparator.
+    """Solve every round's comparator pair and, with include_static, the
+    static comparator block (attach_static).
 
-    Numerical rounds warm start from the previous round's solution. The
-    static x is the closed form when the stream provides one, otherwise a
-    projected-gradient solve on the time-averaged composed objective
-    initialized at the mean of the per-round comparators.
+    Numerical rounds warm start from the previous round's solution. With
+    convex=False a NonConvexFlag warning marks the numerical comparators as
+    local stationary points.
     """
     d1, d2 = _stream_dims(stream)
     if T is None:
@@ -149,14 +139,10 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
     y_prev = np.zeros(d2)
     for t in range(T):
         rnd = stream[t]
-        if rnd.closed_form_x_star is not None:
-            xs = np.asarray(rnd.closed_form_x_star(), dtype=float)
-            closed = True
-        else:
-            xs = outer_oracle(rnd, fset, tol=tol, inner_tol=inner_tol,
-                              x0=x_prev, y0=y_prev, convex=True)
-            numerical = True
-        ys = inner_oracle(rnd, xs, tol=inner_tol, y0=y_prev)
+        closed |= rnd.closed_form_x_star is not None
+        numerical |= rnd.closed_form_x_star is None
+        xs = outer_oracle(rnd, fset, tol=tol, x0=x_prev, y0=y_prev)
+        ys = inner_oracle(rnd, xs, y0=y_prev)
         x_star[t] = xs
         y_star[t] = ys
         f_star[t] = rnd.f(xs, ys)
@@ -173,13 +159,12 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
         grad_norm=grad_norm, provenance=provenance,
     )
     if include_static:
-        attach_static(series, stream, fset, tol=tol, inner_tol=inner_tol)
+        attach_static(series, stream, fset, tol=tol)
     return series
 
 
 def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
-                  tol: float = OUTER_ORACLE_TOL,
-                  inner_tol: float = INNER_ORACLE_TOL) -> ComparatorSeries:
+                  tol: float = OUTER_ORACLE_TOL) -> ComparatorSeries:
     """Fill the static comparator block of an existing series in place.
 
     x_static minimizes the mean of the rounds' composed objectives: the
@@ -191,7 +176,7 @@ def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
     T, d2 = series.y_star.shape
     # built lazily: a closed-form x_static reads each handle once, so only
     # the numerical solve keeps all T of them alive
-    handles = (_composed_handles(stream[t], inner_tol, y_hint=series.y_star[t])
+    handles = (_composed_handles(stream[t], y_hint=series.y_star[t])
                for t in range(T))
     closed_static = getattr(stream, "closed_form_static_comparator", None)
     if closed_static is not None:
@@ -277,8 +262,7 @@ def _sample_points(fset: FeasibleSet, d1: int, n: int,
 
 
 def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
-               n_samples: int = 128, inner_tol: float = INNER_ORACLE_TOL,
-               trace_x: Optional[np.ndarray] = None) -> float:
+               n_samples: int = 128, trace_x: Optional[np.ndarray] = None) -> float:
     """Sampled lower bound on H_T = sum_t sup_x ||y*_{t-1}(x) - y*_t(x)||^2.
 
     The supremum is taken over a finite point cloud (quasi-random points
@@ -294,17 +278,16 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
     if T < 2:
         return 0.0
     pts = _sample_points(fset, d1, n_samples, trace_x=trace_x)
-    prev = inner_oracle(stream[0], pts, tol=inner_tol, y0=np.zeros((pts.shape[0], d2)))
+    prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
     total = 0.0
     for t in range(1, T):
-        cur = inner_oracle(stream[t], pts, tol=inner_tol, y0=prev)
+        cur = inner_oracle(stream[t], pts, y0=prev)
         total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
         prev = cur
     return total
 
 
-def local_regret_series(trace, stream, window: WeightWindow,
-                        inner_tol: float = INNER_ORACLE_TOL) -> np.ndarray:
+def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
     """Cumulative sum of ||windowed hypergradient at (x_t, y*_t(x_t))||^2,
     the windowed gradient evaluated at the exact inner response to the
     played x_t."""
@@ -313,7 +296,7 @@ def local_regret_series(trace, stream, window: WeightWindow,
     y_prev = np.zeros(trace.d2)
     for t in range(1, T + 1):
         x_t = trace.x[t - 1]
-        y_prev = inner_oracle(stream[t - 1], x_t, tol=inner_tol, y0=y_prev)
+        y_prev = inner_oracle(stream[t - 1], x_t, y0=y_prev)
         hg = stream_windowed_hypergradient(stream, t, window, x_t, y_prev)
         vals[t - 1] = float(np.sum(hg**2))
     return np.cumsum(vals)
@@ -323,8 +306,8 @@ def local_regret_series(trace, stream, window: WeightWindow,
 class RegretReport:
     """Everything the experiment runner serializes about one trace.
 
-    bd/bs/bl are cumulative series (bs is None when the static comparator
-    was skipped); p2_series / y2_series are the cumulative squared path
+    bd/bs/bl are cumulative series (bs is None when the comparator series
+    has no static block); p2_series / y2_series are the cumulative squared path
     lengths used for per-round reporting; h_T is a sampled lower bound.
     """
 
@@ -347,38 +330,25 @@ class RegretReport:
 
 
 def compute_report(trace, stream, fset: FeasibleSet, window: WeightWindow,
-                   tol: float = OUTER_ORACLE_TOL,
-                   inner_tol: float = INNER_ORACLE_TOL,
+                   comparators: ComparatorSeries,
                    h_samples: int = 128,
-                   comparators: Optional[ComparatorSeries] = None,
-                   convex: bool = True,
-                   include_static: bool = True,
                    include_local: bool = True,
                    include_h: bool = True) -> RegretReport:
-    """Aggregate all metrics for a finished trace.
-
-    A precomputed ComparatorSeries may be shared across traces of the same
-    stream (window sweeps); it must cover exactly the trace's rounds, and
-    its static block is attached on demand.
+    """Aggregate all metrics for a finished trace against its comparator
+    series, which must cover exactly the trace's rounds and may be shared
+    across traces of the same stream (window sweeps, the baseline). The
+    static regret is reported when the series carries its static block.
     """
     T = trace.T
-    if comparators is None:
-        comparators = comparator_series(
-            stream, fset, T=T, tol=tol, inner_tol=inner_tol,
-            convex=convex, include_static=include_static,
-        )
     if comparators.T != T:
         raise ValueError(f"comparator series covers {comparators.T} rounds, the trace {T}")
-    if include_static and comparators.f_static is None:
-        attach_static(comparators, stream, fset, tol=tol, inner_tol=inner_tol)
     bd = np.cumsum(trace.f_value - comparators.f_star)
-    bs = np.cumsum(trace.f_value - comparators.f_static) if include_static else None
-    bl = local_regret_series(trace, stream, window, inner_tol=inner_tol) if include_local else None
+    bs = None if comparators.f_static is None else np.cumsum(trace.f_value - comparators.f_static)
+    bl = local_regret_series(trace, stream, window) if include_local else None
     p1, y1, ybar1 = path_lengths(comparators, 1)
     p2, y2, ybar2 = path_lengths(comparators, 2)
     h = (
-        h_estimate(stream, fset, T=T, n_samples=h_samples,
-                   inner_tol=inner_tol, trace_x=trace.x)
+        h_estimate(stream, fset, T=T, n_samples=h_samples, trace_x=trace.x)
         if include_h else float("nan")
     )
     return RegretReport(

@@ -83,11 +83,11 @@ def test_criterion_02_finite_difference_hypergradient():
     for t in range(T):
         rnd = stream[t]
         x = rng.uniform(0.1, 1.5, size=1)
-        y = inner_oracle(rnd, x, tol=1e-12)
+        y = inner_oracle(rnd, x)
         g = hypergradient(rnd, x, y)
 
         def phi(v):
-            return rnd.f(v, inner_oracle(rnd, v, tol=1e-12))
+            return rnd.f(v, inner_oracle(rnd, v))
 
         fd = (phi(x + h) - phi(x - h)) / (2.0 * h)
         rel = abs(g[0] - fd) / max(abs(fd), 1e-12)

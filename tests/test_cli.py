@@ -2,7 +2,9 @@
 validation, end-to-end runs, output files, sweeps, and error reporting."""
 import contextlib
 import csv
+import dataclasses
 import math
+import re
 import typing
 from pathlib import Path
 
@@ -187,6 +189,48 @@ def test_validate_config_rejects_silent_baselines(tmp_path, capsys):
     assert "error_category=ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines", [
+    "quad_rule = custom",  # the coefficient tables cannot come from a config
+    "quad_rule = alt_cos",
+    "quad_a1_mode = half",
+    "window_kind = exponential\nwindow_gamma = 1.5",
+    "K = 0",
+    "set_kind = box\nset_lower = 1.0\nset_upper = -1.0",
+    "set_kind = ball\nset_radius = 0",
+    "problem = synthetic\nd2 = 2\nx_low = 5\nx_high = 0",
+])
+def test_validate_reports_every_config_mistake(tmp_path, capsys, lines):
+    """Values the library rejects while the run is set up exit 1 with
+    error_category=ConfigError, not a ValueError traceback."""
+    base = "problem = quadratic\nT = 8\nregime = convex_static\nalpha = 0.2\nbeta = 1.0\nK = 2\n"
+    path = _write(tmp_path / "bad.cfg", base + lines + "\n")
+    assert main(["validate", "--config", path]) == 1
+    assert "error_category=ConfigError" in capsys.readouterr().err
+
+
+def test_beta_past_contraction_bound_rejected(tmp_path, capsys):
+    """configs/synthetic_stages.cfg with beta = 0.05 > 2/ell_g1 ~ 0.032 (its
+    old override, which made the outer iterate non-finite on round 245)
+    fails validate; as shipped it runs past that round."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "synthetic_stages.cfg"
+    path = _write(tmp_path / "beta.cfg", shipped.read_text(encoding="utf-8") + "beta = 0.05\n")
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=ConfigError" in err and "2/ell_g1" in err
+    cfg = parse_config(shipped)
+    cfg.T = 300
+    cfg.output = str(tmp_path / "syn")
+    trace, report, _ = run_experiment(cfg)
+    assert np.all(np.isfinite(trace.x)) and np.all(np.isfinite(report.bd_regret))
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| group | keys |"):].split("\n\n")[0].splitlines()[2:]
+    listed = {key for row in table for key in re.findall(r"`(\w+)`", row.split("|")[2])}
+    assert listed == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def test_resolved_window_literal():
     assert _base_cfg(window_w="17").resolved_window() == 17
     assert _base_cfg(window_w="T").resolved_window() == 8
@@ -309,7 +353,7 @@ d1 = 1
 d2 = 2
 noise_max = 0.1
 alpha = 0.1
-beta = 0.2
+beta = 0.05
 K = 3
 seed = 2
 set_kind = box

@@ -241,39 +241,15 @@ def test_full_info_stationary_stream_settles():
     np.testing.assert_allclose(tr.y[2], tr.x[1] - (-0.2), atol=1e-14)
 
 
-def test_full_info_numeric_oracles():
-    """Rounds stripped of closed forms fall back to gradient descent in y
-    and projected gradient descent in x at oracle_tol accuracy."""
-    import dataclasses
-
-    base = [quadratic_round(0.2, 0.5), quadratic_round(-0.1, 0.3)]
-    rounds = [
-        dataclasses.replace(
-            r, closed_form_y_star=None, closed_form_x_star=None, closed_form_x_partial=None
-        )
-        for r in base
-    ]
-    fset = FeasibleSet.symmetric_box(1.0, 1)
-    init = DecisionPair(x=np.array([0.0]), y=np.array([0.0]))
-    exact = full_info_run(base, init, fset, T=2)
-    numeric = full_info_run(rounds, init, fset, T=2, oracle_tol=1e-12)
-    np.testing.assert_allclose(numeric.final_x, exact.final_x, atol=1e-9)
-    np.testing.assert_allclose(numeric.final_y, exact.final_y, atol=1e-9)
-
-
 def test_full_info_requires_oracles():
+    """The benchmark plays closed forms only: a round missing its inner
+    solution or its partial minimizer in x raises OracleUnavailable."""
     import dataclasses
 
     from oagd import OracleUnavailable
 
-    rounds = [
-        dataclasses.replace(
-            quadratic_round(0.0, 0.0),
-            closed_form_y_star=None,
-            closed_form_x_star=None,
-            closed_form_x_partial=None,
-        )
-    ]
     init = DecisionPair(x=np.zeros(1), y=np.zeros(1))
-    with pytest.raises(OracleUnavailable):
-        full_info_run(rounds, init, FeasibleSet.symmetric_box(1.0, 1), T=1)
+    for missing in ("closed_form_y_star", "closed_form_x_partial"):
+        rounds = [dataclasses.replace(quadratic_round(0.0, 0.0), **{missing: None})]
+        with pytest.raises(OracleUnavailable):
+            full_info_run(rounds, init, FeasibleSet.symmetric_box(1.0, 1), T=1)

@@ -61,7 +61,7 @@ def test_inner_oracle_prefers_closed_form():
 def test_inner_oracle_numeric_matches_closed_form():
     rnd = quadratic_round(0.2, 0.5)
     x = np.array([0.3])
-    out = inner_oracle(_strip(rnd), x, tol=1e-12, y0=np.array([2.0]))
+    out = inner_oracle(_strip(rnd), x, y0=np.array([2.0]))
     np.testing.assert_allclose(out, [-0.2], atol=1e-11)
     with pytest.raises(ValueError):
         inner_oracle(_strip(rnd), x)
@@ -106,11 +106,10 @@ def test_outer_oracle_small_objective_from_box_edge():
     assert scale * abs(out[0] - center) <= 1e-10 * (1.0 + abs(out[0]))
 
 
-def test_outer_oracle_nonconvex_flag():
-    rnd = _strip(quadratic_round(0.1, 0.4))
+def test_comparator_series_nonconvex_flag():
+    stream = _ListStream([_strip(quadratic_round(0.1, 0.4))])
     with pytest.warns(NonConvexFlag):
-        outer_oracle(rnd, FeasibleSet.symmetric_box(1.0, 1),
-                     x0=np.zeros(1), y0=np.zeros(1), convex=False)
+        comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1), convex=False)
 
 
 def test_comparator_series_closed_form_quadratic():
@@ -208,13 +207,13 @@ def test_h_estimate_exact_for_shifting_quadratics():
     assert h == pytest.approx(0.25 + 1.0, rel=1e-12)
 
 
-def _h_per_point(stream, pts, tol=INNER_ORACLE_TOL):
+def _h_per_point(stream, pts):
     """h_estimate's sum over a given cloud, one inner_oracle call per point
     and round, warm started from the point's previous solution."""
-    prev = np.array([inner_oracle(stream[0], p, tol=tol, y0=np.zeros(stream.d2)) for p in pts])
+    prev = np.array([inner_oracle(stream[0], p, y0=np.zeros(stream.d2)) for p in pts])
     total = 0.0
     for t in range(1, len(stream)):
-        cur = np.array([inner_oracle(stream[t], p, tol=tol, y0=y) for p, y in zip(pts, prev)])
+        cur = np.array([inner_oracle(stream[t], p, y0=y) for p, y in zip(pts, prev)])
         total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
         prev = cur
     return total
@@ -283,8 +282,8 @@ def test_local_regret_zero_at_stationary_trace():
 def test_compute_report_regret_accounting():
     stream, trace = _small_run()
     window = make_weights("uniform", 3)
-    report = compute_report(trace, stream, stream.fset, window)
     series = comparator_series(stream, stream.fset)
+    report = compute_report(trace, stream, stream.fset, window, series)
     np.testing.assert_allclose(
         report.bd_regret, np.cumsum(trace.f_value - series.f_star), atol=1e-12
     )
@@ -303,15 +302,19 @@ def test_compute_report_regret_accounting():
 
 
 def test_compute_report_accepts_shared_comparators():
+    """One series serves every trace of its stream; the static regret comes
+    with the series' static block and is absent without it."""
     stream, trace = _small_run()
     window = make_weights("uniform", 3)
     series = comparator_series(stream, stream.fset)
     report = compute_report(trace, stream, stream.fset, window, comparators=series)
     assert report.provenance == "closed_form"
+    again = compute_report(trace, stream, stream.fset, window, comparators=series)
+    np.testing.assert_array_equal(again.bs_regret, report.bs_regret)
     bare = comparator_series(stream, stream.fset, include_static=False)
-    on_demand = compute_report(trace, stream, stream.fset, window, comparators=bare)
-    assert bare.f_static is not None
-    np.testing.assert_allclose(on_demand.bs_regret, report.bs_regret, atol=1e-12)
+    without = compute_report(trace, stream, stream.fset, window, comparators=bare)
+    assert bare.f_static is None and without.bs_regret is None
+    np.testing.assert_array_equal(without.bd_regret, report.bd_regret)
     short = comparator_series(stream, stream.fset, T=10)
     longer = comparator_series(quadratic_stream("alt_sqrt", T=trace.T + 5), stream.fset)
     for other in (short, longer):
@@ -322,10 +325,9 @@ def test_compute_report_accepts_shared_comparators():
 def test_compute_report_optional_blocks_off():
     stream, trace = _small_run()
     window = make_weights("uniform", 3)
-    report = compute_report(
-        trace, stream, stream.fset, window,
-        include_static=False, include_local=False, include_h=False,
-    )
+    bare = comparator_series(stream, stream.fset, include_static=False)
+    report = compute_report(trace, stream, stream.fset, window, bare,
+                            include_local=False, include_h=False)
     assert report.bs_regret is None
     assert report.bl_regret is None
     assert np.isnan(report.h_T)
