@@ -598,7 +598,7 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.baseline == "full_info":
-        base_trace = full_info_run(prep.stream, init, prep.fset, cfg.T)
+        base_trace = full_info_run(prep.stream, init, cfg.T)
         # the baseline's H_T is never reported, and it costs a full h_estimate
         base_report = compute_report(base_trace, prep.stream, prep.fset, window, comparators,
                                      include_local=cfg.report_local, include_h=False)

@@ -202,6 +202,11 @@ class RoundFunctions:
     returns the (d2, d2) inner Hessian.
 
     Optional handles:
+      hess_yy_parts(x, y): the inner Hessian as a pair (a, d) of (d2,)
+        vectors with hess_yy_g = diag(d) + a a^T. A round that sets it has
+        its Newton steps and M solves done by hypergrad.sm_solve, and builds
+        its dense hess_yy_g from the same pair (dense_hessian); without it
+        they factor hess_yy_g densely (hypergrad.cholesky_solve).
       closed_form_y_star(x): exact inner minimizer. It also accepts a batch
         x of shape (P, d1) and returns the (P, d2) minimizers row by row, so
         a caller can solve a whole point cloud in one call.
@@ -218,7 +223,19 @@ class RoundFunctions:
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_xy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hess_yy_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     closed_form_y_star: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_form_x_star: Optional[Callable[[], np.ndarray]] = None
     closed_form_x_partial: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = field(default="round")
+
+
+def dense_hessian(parts: Callable[[np.ndarray, np.ndarray], tuple]):
+    """hess_yy_g of a round whose inner Hessian is hess_yy_parts = parts:
+    (x, y) -> diag(d) + a a^T as a dense (d2, d2) matrix."""
+
+    def hess_yy_g(x, y):
+        a, d = parts(x, y)
+        return np.outer(a, a) + np.diag(d)
+
+    return hess_yy_g

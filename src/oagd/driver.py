@@ -244,12 +244,7 @@ def oagd_run(
     return trace
 
 
-def full_info_run(
-    stream,
-    init: DecisionPair,
-    fset: FeasibleSet,
-    T: int,
-) -> Trace:
+def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
     """Benchmark that plays the previous round's exact solutions.
 
     After playing (x_t, y_t): y_{t+1} = argmin_y g_t(x_t, y) and

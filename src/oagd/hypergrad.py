@@ -8,6 +8,10 @@ i.e. M = -jac_xy_g(x,y) hess_yy_g(x,y)^{-1}. At y = y*(x) this equals the
 exact gradient of the composed objective phi(x) = f(x, y*(x)) by the implicit
 function theorem; away from y*(x) the error is bounded by M_f ||y - y*(x)||.
 
+Every shipped round states its inner Hessian as diag(d) + a a^T
+(hess_yy_parts), and sm_solve solves it by Sherman-Morrison;
+cholesky_solve is the dense fallback for any other round.
+
 The windowed form averages the last w rounds' hypergradients, every term
 evaluated at the same current pair and carrying its own round's curvature:
 
@@ -21,11 +25,11 @@ takes a stream's fast path when it has one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import RoundFunctions
 from .errors import FactorizationFailure
@@ -34,25 +38,63 @@ from .errors import FactorizationFailure
 SOLVE_RESIDUAL_RTOL = 1e-10
 
 
+def sm_solve(a: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(d) + a a^T) z = rhs along the last axis of rhs by
+    Sherman-Morrison,
+
+        z = D^{-1} rhs - D^{-1} a (a^T D^{-1} rhs) / (1 + a^T D^{-1} a),
+
+    in O(d2) per right-hand side. Leading axes of rhs (and of d) are batch
+    axes: one call solves a vector, the rows of a (d1, d2) Jacobian, or a
+    (P, d2) point cloud with one diagonal per point. Raises
+    FactorizationFailure unless d is finite and positive, the condition
+    under which the matrix is positive definite for every a.
+    """
+    if not (d.min() > 0.0 and d.max() < math.inf):
+        raise FactorizationFailure("inner Hessian diagonal not finite and positive")
+    da = a / d
+    dr = rhs / d
+    # ndarray.dot: matmul's dispatch costs more than the work at these sizes
+    return dr - da * (dr.dot(a) / (1.0 + da.dot(a)))[..., None]
+
+
 def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve hess z = rhs by one Cholesky factorization of the symmetric
-    positive definite hess (LAPACK potrf, then potrs; only the lower
-    triangle is read). Raises FactorizationFailure when hess is not
-    numerically positive definite."""
-    factor, info = dpotrf(hess, lower=1, clean=0)
-    if info != 0:
-        raise FactorizationFailure(f"inner Hessian not positive definite: potrf info {info}")
-    z, _ = dpotrs(factor, rhs, lower=1)
-    return z
+    """Solve hess z = rhs for a dense symmetric positive definite hess: one
+    Cholesky factorization hess = L L^T (numpy.linalg.cholesky, which reads
+    the lower triangle), then solves with L and L^T. The generic fallback
+    for rounds that do not state their inner Hessian as hess_yy_parts.
+    Raises FactorizationFailure when hess is not finite or not numerically
+    positive definite."""
+    if not np.isfinite(hess).all():
+        raise FactorizationFailure("inner Hessian not finite")
+    try:
+        factor = np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationFailure(f"inner Hessian not positive definite: {exc}") from None
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+
+
+def _check_residual(jac_xy: np.ndarray, residual: np.ndarray):
+    """Raise FactorizationFailure unless the solve residual jac + M hess is
+    within SOLVE_RESIDUAL_RTOL (1 + ||jac||_max)."""
+    worst = float(abs(residual).max())
+    if worst <= SOLVE_RESIDUAL_RTOL:  # within tolerance whatever jac is
+        return
+    scale = 1.0 + float(abs(jac_xy).max())
+    if not math.isfinite(worst) or worst > SOLVE_RESIDUAL_RTOL * scale:
+        raise FactorizationFailure(
+            f"linear-system residual {worst:.3e} exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+||jac||)"
+        )
 
 
 def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:
-    """Solve jac_xy + M hess_yy = 0 for the (d1, d2) sensitivity matrix M.
+    """Solve jac_xy + M hess_yy = 0 for the (d1, d2) sensitivity matrix M
+    with a dense Hessian.
 
     One Cholesky factorization of the symmetric positive definite Hessian,
-    then d1 triangular solves. Raises FactorizationFailure when the Hessian
-    is not numerically positive definite (a violated strong-convexity
-    assumption) or the solve residual is out of tolerance.
+    then d1 solves. Raises FactorizationFailure when the Hessian is not
+    numerically positive definite (a violated strong-convexity assumption)
+    or the solve residual is out of tolerance.
     """
     hess_yy = np.asarray(hess_yy, dtype=float)
     jac_xy = np.atleast_2d(np.asarray(jac_xy, dtype=float))
@@ -63,22 +105,26 @@ def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:
             f"cross-Jacobian shape {jac_xy.shape} incompatible with Hessian {hess_yy.shape}"
         )
     M = -cholesky_solve(hess_yy, jac_xy.T).T
-
-    scale = 1.0 + float(np.max(np.abs(jac_xy)))
-    residual = float(np.max(np.abs(jac_xy + M @ hess_yy)))
-    if not np.isfinite(residual) or residual > SOLVE_RESIDUAL_RTOL * scale:
-        raise FactorizationFailure(
-            f"linear-system residual {residual:.3e} exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+||jac||)"
-        )
+    _check_residual(jac_xy, jac_xy + M @ hess_yy)
     return M
 
 
 def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Single-round inexact hypergradient grad_x f + M grad_y f at (x, y)."""
-    M = solve_M(round_fns.hess_yy_g(x, y), round_fns.jac_xy_g(x, y))
-    gx = np.atleast_1d(np.asarray(round_fns.grad_x_f(x, y), dtype=float))
+    """Single-round inexact hypergradient grad_x f + M grad_y f at (x, y).
+
+    M comes from sm_solve when the round states its inner Hessian as
+    hess_yy_parts (the residual jac + M diag(d) + (M a) a^T is checked as
+    in solve_M, with the diagonal evaluated once), else from solve_M on the
+    dense hess_yy_g."""
+    jac = round_fns.jac_xy_g(x, y)
+    gx = np.asarray(round_fns.grad_x_f(x, y), dtype=float)
     gy = np.asarray(round_fns.grad_y_f(x, y), dtype=float)
-    return gx + M @ gy
+    if round_fns.hess_yy_parts is None:
+        return gx + solve_M(round_fns.hess_yy_g(x, y), jac) @ gy
+    a, d = round_fns.hess_yy_parts(x, y)
+    neg_M = sm_solve(a, d, jac)  # jac H^{-1}
+    _check_residual(jac, jac - neg_M * d - neg_M.dot(a)[:, None] * a)
+    return gx - neg_M.dot(gy)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DerivedConstants, FeasibleSet, RoundFunctions, project
 from .errors import FactorizationFailure, NonFiniteIterate, OracleDiverged
-from .hypergrad import cholesky_solve
+from .hypergrad import cholesky_solve, sm_solve
 
 #: default cap on per-round inner iteration counts; hitting it is recorded
 #: as an off-schedule warning rather than silently looping for hours.
@@ -96,14 +96,16 @@ def newton_to_tolerance(
     """Damped Newton on g(x, .) until ||grad_y g|| <= tol (oracle use, not
     part of the online algorithm).
 
-    Each iteration takes d = -hess_yy_g^{-1} grad_y g from one Cholesky
-    factorization and halves a unit step s until the Armijo condition
+    Each iteration takes d = -hess_yy_g^{-1} grad_y g (sm_solve on the
+    round's hess_yy_parts when it has them, else one Cholesky factorization
+    of hess_yy_g) and halves a unit step s until the Armijo condition
     g(z + s d) <= g(z) + 1e-4 s grad^T d holds; once that required decrease
     is below float64 resolution of g, strict descent of the gradient norm
     is accepted instead. Raises OracleDiverged, carrying the last residual,
     on a Hessian that is not positive definite, on step collapse, or after
     NEWTON_MAX_ITERS iterations.
     """
+    parts = round_fns.hess_yy_parts
     z = np.asarray(y_init, dtype=float).copy()
     val = float(round_fns.g(x, z))
     grad = np.asarray(round_fns.grad_y_g(x, z), dtype=float)
@@ -112,7 +114,10 @@ def newton_to_tolerance(
         if res <= tol:
             return z
         try:
-            d = -cholesky_solve(np.asarray(round_fns.hess_yy_g(x, z), dtype=float), grad)
+            if parts is None:
+                d = -cholesky_solve(np.asarray(round_fns.hess_yy_g(x, z), dtype=float), grad)
+            else:
+                d = -sm_solve(*parts(x, z), grad)
         except FactorizationFailure as exc:
             raise OracleDiverged(f"inner oracle at residual {res:.3e}: {exc}", residual=res) from exc
         step, unit_drop = 1.0, -1e-4 * float(grad @ d)

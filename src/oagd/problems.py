@@ -33,18 +33,31 @@ evaluate the same gradient expression and give bit-identical iterates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ProblemConstants, RoundFunctions, project
+from .core import FeasibleSet, ProblemConstants, RoundFunctions, dense_hessian, project
 from .errors import DimensionMismatch, StreamExhausted
+from .hypergrad import sm_solve
 from .kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
 
 QUADRATIC_CONSTANTS = ProblemConstants(
     ell_f0=5.0, ell_f1=1.0, ell_g1=1.0, ell_g2=0.0, mu_g=1.0, mu_f=1.0
 )
+
+# the quadratic family's inner Hessian [[1]] as hess_yy_parts, a = 0 and
+# d = 1, shared by every round (hence read-only views)
+_QUAD_HESS_PARTS = (np.broadcast_to(0.0, (1,)), np.broadcast_to(1.0, (1,)))
+
+
+def _quad_hess_yy_parts(x, y):
+    return _QUAD_HESS_PARTS
+
+
+_quad_hess_yy_g = dense_hessian(_quad_hess_yy_parts)
 
 
 def quadratic_round(
@@ -73,7 +86,8 @@ def quadratic_round(
         grad_y_f=lambda x, y: np.array([y[0] - a2]),
         grad_y_g=lambda x, y: np.array([y[0] - x[0] + a2]),
         jac_xy_g=lambda x, y: np.array([[-1.0]]),
-        hess_yy_g=lambda x, y: np.array([[1.0]]),
+        hess_yy_g=_quad_hess_yy_g,
+        hess_yy_parts=_quad_hess_yy_parts,
         closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
         closed_form_x_partial=lambda y: project(fset, np.array([-2.0 * a1])),
@@ -265,16 +279,11 @@ class HOStream:
         return np.diag(2.0 * c * y)
 
     def _closed_form_y_star(self, i: int):
-        """x -> y*(x) = b D^{-1} a / (1 + a^T D^{-1} a) by Sherman-Morrison,
-        over the last axis of x: one point (d1,) or a batch (P, d1)."""
+        """x -> y*(x), the solution of (D + a a^T) y = b a, over the last
+        axis of x: one point (d1,) or a batch (P, d1)."""
         a = self.A_train[i]
-        b = self.b_train[i]
-
-        def y_star(x):
-            da = a / self._hess_diag(x, None)
-            return b * da / (1.0 + da @ a)[..., None]
-
-        return y_star
+        rhs = self.b_train[i] * a
+        return lambda x: sm_solve(a, self._hess_diag(x, None), rhs)
 
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
@@ -294,8 +303,8 @@ class HOStream:
         def grad_y_g(x, y):
             return self._grad_y_g_at(i, x)(y)
 
-        def hess_yy_g(x, y):
-            return np.outer(a, a) + np.diag(self._hess_diag(x, y))
+        def hess_yy_parts(x, y):
+            return a, self._hess_diag(x, y)
 
         rnd = RoundFunctions(
             f=f,
@@ -304,7 +313,8 @@ class HOStream:
             grad_y_f=lambda x, y: av * (av @ y - bv),
             grad_y_g=grad_y_g,
             jac_xy_g=lambda x, y: self._jac_xy(x, y),
-            hess_yy_g=hess_yy_g,
+            hess_yy_g=dense_hessian(hess_yy_parts),
+            hess_yy_parts=hess_yy_parts,
             closed_form_y_star=self._closed_form_y_star(i),
             label=f"{'elastic_net' if self.smoothing else 'ho'} t={i + 1}",
         )
@@ -465,7 +475,7 @@ def estimate_constants(stream: HOStream, x_low: float, x_high: float,
     bvn = float(np.max(np.abs(stream.b_val)))
     hi = float(np.exp(x_high))
     ell_f1 = avn
-    ell_f0 = np.sqrt(avn) * (np.sqrt(avn) * y_bound + bvn)
+    ell_f0 = math.sqrt(avn) * (math.sqrt(avn) * y_bound + bvn)
     ell_g1 = an + 2.0 * hi
     ell_g2 = 2.0 * hi * (1.0 + y_bound)
     if getattr(stream, "smoothing", False):

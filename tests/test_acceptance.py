@@ -232,9 +232,7 @@ def test_criterion_06_full_information_path_length_bound():
     margins = []
     for mode in ("match", "zero"):
         stream = quadratic_stream("alt_sqrt", T=T, a1_mode=mode)
-        trace = full_info_run(
-            stream, DecisionPair(x=np.zeros(1), y=np.zeros(1)), stream.fset, T=T
-        )
+        trace = full_info_run(stream, DecisionPair(x=np.zeros(1), y=np.zeros(1)), T=T)
         series = comparator_series(stream, stream.fset, include_static=False)
         bd = float(np.sum(trace.f_value - series.f_star))
         p1, y1, _ = path_lengths(series, 1)

@@ -4,7 +4,10 @@ import contextlib
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -16,12 +19,16 @@ from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
     _parse_windows,
+    _set_up,
+    build_schedules,
     load_csv,
     main,
     parse_config,
+    prepare,
     run_experiment,
     validate_config,
 )
+from oagd.hypergrad import make_weights
 
 
 def _write(path, text):
@@ -198,6 +205,9 @@ def test_validate_config_rejects_silent_baselines(tmp_path, capsys):
     "set_kind = box\nset_lower = 1.0\nset_upper = -1.0",
     "set_kind = ball\nset_radius = 0",
     "problem = synthetic\nd2 = 2\nx_low = 5\nx_high = 0",
+    "init_x = 0.1, 0.2",  # d1 = 1
+    "init_y = 0.1, 0.2",  # d2 = 1
+    "init_x = one",
 ])
 def test_validate_reports_every_config_mistake(tmp_path, capsys, lines):
     """Values the library rejects while the run is set up exit 1 with
@@ -222,6 +232,55 @@ def test_beta_past_contraction_bound_rejected(tmp_path, capsys):
     cfg.output = str(tmp_path / "syn")
     trace, report, _ = run_experiment(cfg)
     assert np.all(np.isfinite(trace.x)) and np.all(np.isfinite(report.bd_regret))
+
+
+def test_initial_pair_from_config():
+    """init_x and init_y are comma-separated vectors; without them x is
+    the projection of 0 and y is 0."""
+    init = _set_up(_base_cfg(init_x="0.5,", init_y=" -0.25"))[-1]
+    np.testing.assert_array_equal(init.x, [0.5])
+    np.testing.assert_array_equal(init.y, [-0.25])
+    init = _set_up(_base_cfg(set_kind="box", set_lower="0.2", set_upper="0.9"))[-1]
+    np.testing.assert_array_equal(init.x, [0.2])
+    np.testing.assert_array_equal(init.y, [0.0])
+
+
+def test_build_schedules_regime_defaults():
+    """Without alpha and K overrides each regime takes its theorem step
+    size and K rule; on the quadratic family (mu_f = 1, L_f = 4,
+    ell_f0 = 5, D = 2) those are 2/t, 1/32, 2/(5 sqrt(t)) and 1/12."""
+    cases = {
+        "strongly_convex_static": (lambda t: 2.0 / t, "strongly_convex_static"),
+        "convex_dynamic": (lambda t: 1.0 / 32.0, "convex_log_t"),
+        "convex_static": (lambda t: 2.0 / (5.0 * math.sqrt(t)), "convex_log_t"),
+        "nonconvex": (lambda t: 1.0 / 12.0, "nonconvex"),
+    }
+    for regime, (alpha, inner_kind) in cases.items():
+        cfg = _base_cfg(regime=regime, alpha=None, beta=None, K=None)
+        prep = prepare(cfg)
+        window = make_weights("uniform", 3)
+        steps, inner, _ = build_schedules(cfg, prep, window)
+        assert prep.notes == [], regime
+        for t in (1, 4, 9):
+            assert steps.alpha_at(t) == pytest.approx(alpha(t), rel=1e-15), regime
+        assert inner.kind == inner_kind and inner.beta == 1.0, regime
+    assert inner.alpha == pytest.approx(1.0 / 12.0, rel=1e-15) and inner.W == 3.0
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(problem="synthetic", d2=2, regime="strongly_convex"), "needs mu_f"),
+    (dict(problem="synthetic", d2=2, regime="strongly_convex", alpha=0.1), "needs mu_f"),
+    (dict(problem="synthetic", d2=2, regime="strongly_convex_static"), "needs mu_f"),
+    (dict(problem="synthetic", d2=2, regime="strongly_convex_static", alpha=0.1), "needs mu_f"),
+    (dict(problem="synthetic", d2=2, regime="convex_static"), "bounded set or an explicit D"),
+])
+def test_build_schedules_regime_errors(overrides, message):
+    """A regression stream has no mu_f and an unbounded default set, so
+    the regimes that need either, for the step size or for K, fail without
+    overrides."""
+    cfg = _base_cfg(**{"alpha": None, "beta": None, "K": None, **overrides})
+    with pytest.raises(ConfigError, match=message):
+        build_schedules(cfg, prepare(cfg), make_weights("uniform", 1))
 
 
 def test_readme_key_table_lists_every_config_key():
@@ -367,11 +426,37 @@ output = {out}
     assert report.bd_regret.shape == (12,)
 
 
+def test_ho_problem_end_to_end(tmp_path):
+    """problem = ho builds a ridge stream (one ridge weight by default)
+    from the CSV's train and validation splits and reports the test error
+    of the final fit."""
+    dataset = Path(__file__).resolve().parents[1] / "data" / "regression_300.csv"
+    text = f"""
+problem = ho
+dataset = {dataset}
+T = 12
+regime = convex_static
+window_w = 3
+set_kind = box
+set_half_width = 2.0
+alpha = 0.05
+K = 5
+output = {tmp_path / "ho"}
+"""
+    cfg = parse_config(_write(tmp_path / "c.cfg", text))
+    prep = prepare(cfg)
+    assert type(prep.stream).__name__ == "HOStream" and (prep.d1, prep.d2) == (1, 8)
+    trace, report, meta = run_experiment(cfg)
+    assert np.all(np.isfinite(report.bd_regret)) and math.isfinite(report.h_T)
+    assert math.isfinite(float(dict(m.partition(" = ")[::2] for m in meta)["test_error"]))
+
+
 def test_shipped_elastic_net_config_full_report(tmp_path, monkeypatch):
     """Every configs/*.cfg passes `oagd validate` and runs cut to T = 12,
-    writing a keyed meta line per value and finite values for every report
-    it turns on; configs/elastic_net.cfg turns on its static, local and H_T
-    reports."""
+    writing a keyed meta line per value, a plain float (or None) for every
+    constant, derived constant and scalar report value, and finite values
+    for every report it turns on; configs/elastic_net.cfg turns on its
+    static, local and H_T reports."""
     root = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(root)  # shipped configs name their dataset relative to the repo root
     paths = sorted((root / "configs").glob("*.cfg"))
@@ -389,8 +474,55 @@ def test_shipped_elastic_net_config_full_report(tmp_path, monkeypatch):
         lines = Path(cfg.output + ".meta.txt").read_text(encoding="utf-8").splitlines()
         assert all(" = " in line for line in lines), path.name
         meta = dict(line.partition(" = ")[::2] for line in lines)
+        for key, value in meta.items():
+            if key.startswith(("constants.", "derived.", "report.")) and value != "None" \
+                    and key not in ("report.provenance", "report.x_static"):
+                float(value)  # a numpy scalar repr such as np.float64(...) fails here
         reports = {"report.bd_final": True, "report.bs_final": cfg.report_static,
                    "report.bl_final": cfg.report_local, "report.h_T": cfg.report_h}
         for key, on in reports.items():
             if on:
                 assert math.isfinite(float(meta[key])), (path.name, key)
+
+
+_NUMPY_ONLY_RUN = """
+import sys
+from pathlib import Path
+
+
+class RefuseThirdParty:
+    # refuse every import outside the standard library, numpy and oagd
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top in sys.stdlib_module_names or top in ("numpy", "oagd"):
+            return None
+        raise ImportError(f"{name} is not a runtime dependency of oagd")
+
+
+sys.meta_path.insert(0, RefuseThirdParty())
+from oagd.cli import main
+
+out = Path(sys.argv[1])
+for path in sorted(Path("configs").glob("*.cfg")):
+    if main(["validate", "--config", str(path)]) != 0:
+        sys.exit(f"validate failed: {path.name}")
+    cut = out / path.name
+    cut.write_text(path.read_text(encoding="utf-8")
+                   + f"T = 12\\noutput = {out / path.stem}\\n", encoding="utf-8")
+    if main(["run", "--config", str(cut)]) != 0:
+        sys.exit(f"run failed: {path.name}")
+"""
+
+
+def test_shipped_configs_run_with_numpy_as_only_dependency(tmp_path):
+    """`oagd validate` and a T = 12 `oagd run` of every configs/*.cfg
+    succeed in a fresh interpreter that refuses every import outside the
+    standard library, numpy and oagd itself."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path)],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.meta.txt"))) == len(list((root / "configs").glob("*.cfg")))

@@ -216,7 +216,7 @@ def test_full_info_plays_previous_round_solutions():
     a2 = np.array([0.5, 0.4, -0.6])
     stream = quadratic_stream("custom", T=3, coefficients=(a1, a2))
     init = DecisionPair(x=np.array([0.7]), y=np.array([0.1]))
-    tr = full_info_run(stream, init, stream.fset, T=3)
+    tr = full_info_run(stream, init, T=3)
     np.testing.assert_allclose(tr.x[0], [0.7])
     np.testing.assert_allclose(tr.y[0], [0.1])
     for t in range(3):
@@ -233,7 +233,7 @@ def test_full_info_stationary_stream_settles():
     2 (y_3 is the exact response to the settled x_2)."""
     stream = quadratic_stream("constant", T=5, a1_const=0.1, a2_const=-0.2)
     init = DecisionPair(x=np.array([0.9]), y=np.array([0.9]))
-    tr = full_info_run(stream, init, stream.fset, T=5)
+    tr = full_info_run(stream, init, T=5)
     for t in range(2, 5):
         np.testing.assert_allclose(tr.x[t], tr.x[1], atol=1e-14)
     for t in range(3, 5):
@@ -252,4 +252,4 @@ def test_full_info_requires_oracles():
     for missing in ("closed_form_y_star", "closed_form_x_partial"):
         rounds = [dataclasses.replace(quadratic_round(0.0, 0.0), **{missing: None})]
         with pytest.raises(OracleUnavailable):
-            full_info_run(rounds, init, FeasibleSet.symmetric_box(1.0, 1), T=1)
+            full_info_run(rounds, init, T=1)

@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from oagd import (
     FactorizationFailure,
+    OracleDiverged,
     RoundFunctions,
     WeightWindow,
     hypergradient,
@@ -16,7 +16,9 @@ from oagd import (
     solve_M,
     windowed_hypergradient,
 )
-from oagd.hypergrad import cholesky_solve
+from oagd.hypergrad import cholesky_solve, sm_solve
+from oagd.inner import newton_to_tolerance
+from oagd.problems import ElasticNetStream, HOStream
 
 
 def test_solve_m_diagonal_example():
@@ -45,10 +47,10 @@ def test_solve_m_rejects_indefinite_hessian():
         solve_M(np.zeros((2, 2)), np.array([[1.0, 1.0]]))
 
 
-def test_cholesky_solve_matches_scipy_reference():
-    """The direct LAPACK potrf/potrs calls return cho_factor/cho_solve's
-    bits for vector and matrix right-hand sides (C and Fortran order), and
-    leave their inputs untouched."""
+def test_cholesky_solve_matches_dense_solve():
+    """For vector and matrix right-hand sides (C and Fortran order) the
+    solve leaves a residual ||H z - rhs|| <= 1e-12 ||rhs||, agrees with
+    np.linalg.solve to 1e-13 relative, and leaves its inputs untouched."""
     rng = np.random.default_rng(30)
     for d in (1, 5, 8):
         B = rng.normal(size=(d, d))
@@ -56,8 +58,10 @@ def test_cholesky_solve_matches_scipy_reference():
         hess_before = hess.copy()
         for rhs in (rng.normal(size=d), rng.normal(size=(d, 3)), rng.normal(size=(3, d)).T):
             rhs_before = rhs.copy()
-            reference = cho_solve(cho_factor(hess, lower=True), rhs)
-            assert np.array_equal(cholesky_solve(hess, rhs), reference)
+            z = cholesky_solve(hess, rhs)
+            assert np.linalg.norm(hess @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            reference = np.linalg.solve(hess, rhs)
+            assert np.linalg.norm(z - reference) <= 1e-13 * np.linalg.norm(reference)
             assert np.array_equal(rhs, rhs_before)
         assert np.array_equal(hess, hess_before)
 
@@ -66,6 +70,71 @@ def test_cholesky_solve_rejects_indefinite_and_zero_hessians():
     for hess in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):
         with pytest.raises(FactorizationFailure, match="not positive definite"):
             cholesky_solve(hess, np.ones(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FactorizationFailure, match="not finite"):
+            cholesky_solve(np.array([[1.0, 0.0], [0.0, bad]]), np.ones(2))
+
+
+def _structured_rounds():
+    """(stream, x, y) for HOStream (d1 = 1 and d1 = d2) and ElasticNetStream
+    (d1 = d2 + 1 and 2 d2) at d2 = 5, each with a random pair (x, y)."""
+    rng = np.random.default_rng(31)
+    d2 = 5
+    tables = [rng.normal(size=(6, d2)), rng.normal(size=6),
+              rng.normal(size=(6, d2)), rng.normal(size=6)]
+    streams = [HOStream(*tables, d1=1), HOStream(*tables, d1=d2),
+               ElasticNetStream(*tables, mu_smooth=0.5),
+               ElasticNetStream(*tables, mu_smooth=0.5, d1=2 * d2)]
+    return [(s, 0.5 * rng.normal(size=s.d1), rng.normal(size=d2)) for s in streams]
+
+
+def test_sm_solve_matches_dense_cholesky():
+    """On the regression rounds, sm_solve on hess_yy_parts agrees with
+    cholesky_solve on the dense hess_yy_g to 1e-12 relative, for the Newton
+    step (a vector right-hand side) and for M (the Jacobian's rows)."""
+    for stream, x, y in _structured_rounds():
+        rnd = stream[3]
+        a, d = rnd.hess_yy_parts(x, y)
+        hess = rnd.hess_yy_g(x, y)
+        grad = rnd.grad_y_g(x, y)
+        step, dense_step = sm_solve(a, d, grad), cholesky_solve(hess, grad)
+        assert np.linalg.norm(step - dense_step) <= 1e-12 * np.linalg.norm(dense_step)
+        jac = rnd.jac_xy_g(x, y)
+        M, dense_M = -sm_solve(a, d, jac), solve_M(hess, jac)
+        assert np.linalg.norm(M - dense_M) <= 1e-12 * np.linalg.norm(dense_M)
+        dense_rnd = dataclasses.replace(rnd, hess_yy_parts=None)
+        hg, dense_hg = hypergradient(rnd, x, y), hypergradient(dense_rnd, x, y)
+        assert np.linalg.norm(hg - dense_hg) <= 1e-12 * np.linalg.norm(dense_hg)
+
+
+def test_dense_hessian_built_from_parts():
+    """The dense hess_yy_g built from the parts is, bit for bit, the
+    regression round's np.outer(a, a) + np.diag(D) with a its training row
+    and D the stream's diagonal, and the quadratic round's [[1]]."""
+    for stream, x, y in _structured_rounds():
+        a = stream.A_train[3]
+        expected = np.outer(a, a) + np.diag(stream._hess_diag(x, y))
+        assert np.array_equal(stream[3].hess_yy_g(x, y), expected)
+        parts = stream[3].hess_yy_parts(x, y)
+        assert np.array_equal(parts[0], a)
+        assert np.array_equal(parts[1], stream._hess_diag(x, y))
+    quad = quadratic_round(0.3, -0.4)
+    assert np.array_equal(quad.hess_yy_g(np.array([0.2]), np.array([0.5])), [[1.0]])
+
+
+def test_sm_solve_rejects_nonpositive_diagonal():
+    """A diagonal that is not finite and positive is a FactorizationFailure,
+    and damped Newton reports it as OracleDiverged."""
+    a = np.array([1.0, 2.0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(FactorizationFailure, match="not finite and positive"):
+            sm_solve(a, np.array([1.0, bad]), np.ones(2))
+    stream, x, y = _structured_rounds()[0]
+    rnd = stream[3]
+    a, d = rnd.hess_yy_parts(x, y)
+    broken = dataclasses.replace(rnd, hess_yy_parts=lambda x, y: (a, -d))
+    with pytest.raises(OracleDiverged, match="not finite and positive"):
+        newton_to_tolerance(broken, x, y, tol=1e-12)
 
 
 def test_hypergradient_matches_composed_derivative_quadratic():
@@ -197,7 +266,8 @@ def test_windowed_failure_names_offending_round():
     """A factorization failure inside the window is re-raised with the
     absolute round index of the offending term."""
     good = quadratic_round(0.0, 0.0)
-    bad = dataclasses.replace(good, hess_yy_g=lambda x, y: np.array([[-1.0]]))
+    bad = dataclasses.replace(good, hess_yy_g=lambda x, y: np.array([[-1.0]]),
+                              hess_yy_parts=None)
     rounds = (good, good, good, bad, good)
     window = make_weights("uniform", 3)
     with pytest.raises(FactorizationFailure) as info:

@@ -192,6 +192,22 @@ def test_kronecker_points_fill_box():
             assert np.count_nonzero(sx & sy) > 4
 
 
+def test_sample_points_ball_and_unbounded():
+    """H_T's cloud lies in a ball set; for an unbounded set it spans the
+    trace's x range padded by 1 per coordinate, or [-1, 1] without a
+    trace."""
+    ball = FeasibleSet.ball([1.0, -2.0], 0.5)
+    pts = _sample_points(ball, 2, 64)
+    assert pts.shape == (64, 2)
+    assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= 0.5 + 1e-15)
+    free = FeasibleSet.unbounded()
+    for trace_x, lo, hi in ((None, [-1.0, -1.0], [1.0, 1.0]),
+                            (np.zeros((0, 2)), [-1.0, -1.0], [1.0, 1.0]),
+                            (np.array([[0.0, 3.0], [2.0, 5.0]]), [-1.0, 2.0], [3.0, 6.0])):
+        pts = _sample_points(free, 2, 64, trace_x=trace_x)
+        np.testing.assert_array_equal(pts, kronecker_points(64, np.array(lo), np.array(hi)))
+
+
 def test_h_estimate_zero_for_stationary_stream():
     stream = quadratic_stream("constant", T=6, a1_const=0.2, a2_const=0.1)
     h = h_estimate(stream, stream.fset)
