@@ -559,12 +559,17 @@ def _meta_lines(cfg: ExperimentConfig, prep: _Prepared, window: WeightWindow,
     return lines
 
 
-def _full_train_fit(prep: _Prepared, x_final: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+#: gradient-norm tolerance of the full-training-split fit behind test_error
+FULL_FIT_TOL = 1e-10
+
+
+def _full_train_fit(prep: _Prepared, x_final: np.ndarray) -> np.ndarray:
     """Fit y on the whole training split at fixed hyperparameters x_final:
-    mean squared data loss plus the stream's per-round penalty."""
+    mean squared data loss plus the stream's per-round penalty, solved by
+    damped Newton to FULL_FIT_TOL."""
     A, b = prep.dataset.split("train")
     fit_round = prep.stream.full_batch_round(A, b)
-    return newton_to_tolerance(fit_round, x_final, np.zeros(A.shape[1]), tol=tol)
+    return newton_to_tolerance(fit_round, x_final, np.zeros(A.shape[1]), tol=FULL_FIT_TOL)
 
 
 def test_error(prep: _Prepared, x_final: np.ndarray) -> float:

@@ -112,13 +112,19 @@ def project(fset: FeasibleSet, x: np.ndarray) -> np.ndarray:
     """Euclidean projection of x onto the feasible set.
 
     Total for the supported kinds: clamp for boxes, radial scaling for
-    balls, identity when unbounded or already feasible.
+    balls, identity when unbounded or already feasible. A (T, d1) x is a
+    batch of points, projected row by row.
     """
     x = np.asarray(x, dtype=float)
     if fset.kind == "box":
         return np.clip(x, fset.lower, fset.upper)
     if fset.kind == "ball":
         delta = x - fset.center
+        if x.ndim == 2:
+            norm = np.linalg.norm(delta, axis=1, keepdims=True)
+            outside = norm > fset.radius
+            scale = np.divide(fset.radius, norm, out=np.ones_like(norm), where=outside)
+            return np.where(outside, fset.center + delta * scale, x)
         norm = float(np.linalg.norm(delta))
         if norm <= fset.radius:
             return x.copy()
@@ -214,6 +220,17 @@ class RoundFunctions:
         feasible set at construction, hence no argument).
       closed_form_x_partial(y): exact argmin_x f(x, y) with y held fixed,
         used by the full-information baseline.
+
+    Stacked rounds: a stream may offer stacked_round(T), one bundle for
+    its rounds 1..T whose callables act on a leading round axis (x (T, d1),
+    y (T, d2), f (T,), jac_xy_g (T, d1, d2), the closed forms (T, .)) with
+    row t - 1 evaluated as round t; its hess_yy_parts gives the (d2,) a
+    every row shares and a (T, d2) d. Only streams whose every round has
+    all three closed forms and the same a offer one (the quadratic
+    family). The measurement
+    (comparator_series, attach_static, local_regret_series, full_info_run)
+    evaluates it in one call where it would loop over rounds, and keeps
+    that loop for every other stream.
     """
 
     f: Callable[[np.ndarray, np.ndarray], float]

@@ -76,14 +76,17 @@ def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _check_residual(jac_xy: np.ndarray, residual: np.ndarray):
     """Raise FactorizationFailure unless the solve residual jac + M hess is
-    within SOLVE_RESIDUAL_RTOL (1 + ||jac||_max)."""
-    worst = float(abs(residual).max())
-    if worst <= SOLVE_RESIDUAL_RTOL:  # within tolerance whatever jac is
+    within SOLVE_RESIDUAL_RTOL (1 + ||jac||_max), for each (d1, d2) matrix
+    of a stacked (T, d1, d2) pair on its own."""
+    if float(abs(residual).max()) <= SOLVE_RESIDUAL_RTOL:  # within tolerance whatever jac is
         return
-    scale = 1.0 + float(abs(jac_xy).max())
-    if not math.isfinite(worst) or worst > SOLVE_RESIDUAL_RTOL * scale:
+    worst = abs(residual).max(axis=(-2, -1))
+    scale = 1.0 + abs(jac_xy).max(axis=(-2, -1))
+    bad = ~np.isfinite(worst) | (worst > SOLVE_RESIDUAL_RTOL * scale)
+    if bad.any():
         raise FactorizationFailure(
-            f"linear-system residual {worst:.3e} exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+||jac||)"
+            f"linear-system residual {float(np.asarray(worst)[bad].max()):.3e} "
+            f"exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+||jac||)"
         )
 
 
@@ -115,13 +118,24 @@ def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np
     M comes from sm_solve when the round states its inner Hessian as
     hess_yy_parts (the residual jac + M diag(d) + (M a) a^T is checked as
     in solve_M, with the diagonal evaluated once), else from solve_M on the
-    dense hess_yy_g."""
+    dense hess_yy_g.
+
+    A stacked round (a stream's stacked_round, whose jac_xy_g is
+    (T, d1, d2)) takes x (T, d1) and y (T, d2) and returns the (T, d1)
+    hypergradients of its rows, each checked on its own. Its
+    hess_yy_parts gives the (d2,) a its rows share and one (T, d2)
+    diagonal, so one sm_solve call covers every row."""
     jac = round_fns.jac_xy_g(x, y)
     gx = np.asarray(round_fns.grad_x_f(x, y), dtype=float)
     gy = np.asarray(round_fns.grad_y_f(x, y), dtype=float)
     if round_fns.hess_yy_parts is None:
         return gx + solve_M(round_fns.hess_yy_g(x, y), jac) @ gy
     a, d = round_fns.hess_yy_parts(x, y)
+    if jac.ndim == 3:  # stacked: one (d1, d2) Jacobian and one diagonal per row
+        d = d[:, None, :]
+        neg_M = sm_solve(a, d, jac)
+        _check_residual(jac, jac - neg_M * d - neg_M.dot(a)[..., None] * a)
+        return gx - np.einsum("tij,tj->ti", neg_M, gy)
     neg_M = sm_solve(a, d, jac)  # jac H^{-1}
     _check_residual(jac, jac - neg_M * d - neg_M.dot(a)[:, None] * a)
     return gx - neg_M.dot(gy)

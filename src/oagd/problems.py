@@ -25,11 +25,21 @@ hypergrad.stream_windowed_hypergradient picks it up when present. The
 regression streams keep newest-first contiguous copies of their window
 tables, so that path slices rows instead of copying them every round.
 
-The regression streams also expose inner_steps(t, x, y, beta, K), the K
-follower steps of round t fused into one loop that derives the
-x-dependent part of grad_y g once; inner.stream_inner_gd picks it up when
-present and otherwise runs inner.inner_gd on the round. Both paths
-evaluate the same gradient expression and give bit-identical iterates.
+Every stream also exposes inner_steps(t, x, y, beta, K), the K follower
+steps of round t fused into one loop: the regression streams derive the
+x-dependent part of grad_y g once, the quadratic stream steps in Python
+floats. inner.stream_inner_gd picks it up when present and otherwise runs
+inner.inner_gd on the round. Both paths evaluate the same gradient
+expression and give bit-identical iterates.
+
+The quadratic stream also exposes stacked_round(T) (see RoundFunctions),
+which the measurement evaluates over all rounds at once; the regression
+streams have none and are measured round by round. quadratic_round keeps
+its scalar arithmetic: the loop evaluates f_t one round at a time, and
+numpy's scalar float64 ** 2 (C pow) differs in the last bit from array
+squaring on about 0.1% of inputs, so a broadcast round would change the
+loop's output bits. The stacked round squares with np.float_power, which
+calls the same C pow per element.
 """
 from __future__ import annotations
 
@@ -134,6 +144,61 @@ class QuadraticStream:
             )
             self._cache[i] = rnd
         return rnd
+
+    def stacked_round(self, T: int) -> RoundFunctions:
+        """Rounds 1..T as one RoundFunctions over a leading round axis: row
+        t - 1 of x (T, 1) and y (T, 1) is evaluated with round t's
+        coefficients. f and g give (T,), the gradients (T, 1), jac_xy_g
+        (T, 1, 1), hess_yy_parts the shared a = 0 and a (T, 1) d = 1,
+        hess_yy_g (T, 1, 1), closed_form_y_star(x) (T, 1) and both
+        closed-form comparators (T, 1).
+
+        Every row carries the bits of self[t - 1]: the squares go through
+        np.float_power, which calls C pow per element as the round's scalar
+        float64 ** 2 does (array squaring, x * x, differs from it in the
+        last bit on about 0.1% of inputs).
+        """
+        if T > len(self):
+            raise StreamExhausted(len(self) + 1, available=len(self))
+        a1, a2, a3, a4 = self.a1[:T], self.a2[:T], self.a3[:T], self.a4[:T]
+        a1c, a2c = a1[:, None], a2[:, None]
+        fset = self.fset
+        parts = (_QUAD_HESS_PARTS[0], np.broadcast_to(1.0, (T, 1)))
+
+        def f(x, y):
+            return (0.5 * np.float_power(x[:, 0] + 2.0 * a1, 2)
+                    + 0.5 * np.float_power(y[:, 0] - a2, 2) + a3)
+
+        def g(x, y):
+            return 0.5 * np.float_power(y[:, 0], 2) - (x[:, 0] - a2) * y[:, 0] + a4
+
+        return RoundFunctions(
+            f=f,
+            g=g,
+            grad_x_f=lambda x, y: x + 2.0 * a1c,
+            grad_y_f=lambda x, y: y - a2c,
+            grad_y_g=lambda x, y: y - x + a2c,
+            jac_xy_g=lambda x, y: np.full((T, 1, 1), -1.0),
+            hess_yy_g=lambda x, y: np.ones((T, 1, 1)),
+            hess_yy_parts=lambda x, y: parts,
+            closed_form_y_star=lambda x: np.asarray(x, dtype=float)[:, :1] - a2c,
+            closed_form_x_star=lambda: project(fset, a2c - a1c),
+            closed_form_x_partial=lambda y: project(fset, -2.0 * a1c),
+            label=f"quadratic t=1..{T}",
+        )
+
+    def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
+        """K gradient steps z <- z - beta * ((z - x) + a2_t) of round t
+        (1-based) in Python floats: the update of inner.inner_gd on
+        self[t - 1], bit for bit, without a numpy array per step. y is not
+        modified."""
+        if t > len(self):
+            raise StreamExhausted(t, available=len(self))
+        x0, a2 = float(x[0]), float(self.a2[t - 1])
+        z = float(y[0])
+        for _ in range(K):
+            z -= beta * (z - x0 + a2)
+        return np.array([z])
 
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
         if t > len(self):
@@ -328,6 +393,7 @@ class HOStream:
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         n = A.shape[0]
+        AtA = A.T @ A / n
         return RoundFunctions(
             f=lambda x, y: 0.0,
             g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._g_extra(x, y)),
@@ -335,7 +401,7 @@ class HOStream:
             grad_y_f=lambda x, y: np.zeros(self.d2),
             grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._grad_y_g_extra_at(x)(y),
             jac_xy_g=self._jac_xy,
-            hess_yy_g=lambda x, y: A.T @ A / n + np.diag(self._hess_diag(x, y)),
+            hess_yy_g=lambda x, y: AtA + np.diag(self._hess_diag(x, y)),
             label="full batch",
         )
 

@@ -119,9 +119,11 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
     """Solve every round's comparator pair and, with include_static, the
     static comparator block (attach_static).
 
-    Numerical rounds warm start from the previous round's solution. With
-    convex=False a NonConvexFlag warning marks the numerical comparators as
-    local stationary points.
+    A stream with stacked_round(T) gets x*, y*, f* and the gradient norms
+    from one call each on its stacked round; any other stream round by
+    round. Numerical rounds warm start from the previous round's solution.
+    With convex=False a NonConvexFlag warning marks the numerical
+    comparators as local stationary points.
     """
     d1, d2 = _stream_dims(stream)
     if T is None:
@@ -130,6 +132,19 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
         _warnings.warn(NonConvexFlag(
             "nonconvex composed objective: comparators are local stationary points"
         ))
+    stacked = getattr(stream, "stacked_round", None)
+    if stacked is not None:
+        rows = stacked(T)
+        x_star = rows.closed_form_x_star()
+        y_star = rows.closed_form_y_star(x_star)
+        series = ComparatorSeries(
+            x_star=x_star, y_star=y_star, f_star=rows.f(x_star, y_star),
+            grad_norm=np.linalg.norm(hypergradient(rows, x_star, y_star), axis=1),
+            provenance="closed_form",
+        )
+        if include_static:
+            attach_static(series, stream, fset, tol=tol)
+        return series
     x_star = np.empty((T, d1))
     y_star = np.empty((T, d2))
     f_star = np.empty(T)
@@ -171,14 +186,24 @@ def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
     stream's closed form when it has one, else projected gradient descent
     from the mean per-round comparator, with one composed handle per round
     warm started from that round's y*_t. y_static and f_static are read
-    from the handles at x_static.
+    from the handles at x_static, or in one call each from the stream's
+    stacked round at the closed-form x_static when the stream has both.
     """
     T, d2 = series.y_star.shape
+    closed_static = getattr(stream, "closed_form_static_comparator", None)
+    stacked = getattr(stream, "stacked_round", None)
+    if closed_static is not None and stacked is not None:
+        rows = stacked(T)
+        x_bar = np.asarray(closed_static(), dtype=float)
+        x_rows = np.broadcast_to(x_bar, (T, x_bar.shape[0]))
+        series.x_static = x_bar
+        series.y_static = rows.closed_form_y_star(x_rows)
+        series.f_static = rows.f(x_rows, series.y_static)
+        return series
     # built lazily: a closed-form x_static reads each handle once, so only
     # the numerical solve keeps all T of them alive
     handles = (_composed_handles(stream[t], y_hint=series.y_star[t])
                for t in range(T))
-    closed_static = getattr(stream, "closed_form_static_comparator", None)
     if closed_static is not None:
         x_bar = np.asarray(closed_static(), dtype=float)
     else:
@@ -277,6 +302,9 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
         T = len(stream)
     if T < 2:
         return 0.0
+    # round by round even on a stream with stacked_round: solving the whole
+    # (T, P) cloud at once raised the peak RSS of a quadratic_dynamic.cfg
+    # run (T = 2000, P = 130) from 36.8 to 41.4 MB, to save tens of ms
     pts = _sample_points(fset, d1, n_samples, trace_x=trace_x)
     prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
     total = 0.0
@@ -290,14 +318,22 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
 def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
     """Cumulative sum of ||windowed hypergradient at (x_t, y*_t(x_t))||^2,
     the windowed gradient evaluated at the exact inner response to the
-    played x_t."""
+    played x_t. The responses come from one call on the stream's stacked
+    round when it has one, else from inner_oracle round by round (warm
+    started from the previous response); the windowed gradient is taken
+    round by round."""
     T = trace.T
+    stacked = getattr(stream, "stacked_round", None)
+    if stacked is not None:
+        y_star = stacked(T).closed_form_y_star(trace.x)
+    else:
+        y_star = np.empty((T, trace.d2))
+        y_prev = np.zeros(trace.d2)
+        for t in range(T):
+            y_prev = y_star[t] = inner_oracle(stream[t], trace.x[t], y0=y_prev)
     vals = np.empty(T)
-    y_prev = np.zeros(trace.d2)
     for t in range(1, T + 1):
-        x_t = trace.x[t - 1]
-        y_prev = inner_oracle(stream[t - 1], x_t, y0=y_prev)
-        hg = stream_windowed_hypergradient(stream, t, window, x_t, y_prev)
+        hg = stream_windowed_hypergradient(stream, t, window, trace.x[t - 1], y_star[t - 1])
         vals[t - 1] = float(np.sum(hg**2))
     return np.cumsum(vals)
 

@@ -485,6 +485,53 @@ def test_shipped_elastic_net_config_full_report(tmp_path, monkeypatch):
                 assert math.isfinite(float(meta[key])), (path.name, key)
 
 
+def _same_value(got: str, ref: str) -> bool:
+    """One CSV cell or meta value: integers and text exactly, floats (or
+    comma-separated float lists) within 1e-12 relative, nan equal to nan."""
+    try:
+        return int(got) == int(ref)
+    except ValueError:
+        pass
+    try:
+        pairs = [(float(a), float(b)) for a, b in zip(got.split(","), ref.split(","), strict=True)]
+    except ValueError:
+        return got == ref
+    return all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+               or (math.isnan(a) and math.isnan(b)) for a, b in pairs)
+
+
+def test_quadratic_dynamic_reproduces_committed_results(tmp_path, monkeypatch):
+    """Rerunning configs/quadratic_dynamic.cfg reproduces the committed
+    results/quadratic_dynamic.{csv,baseline.csv,meta.txt}: every integer
+    and text value exactly, every float within 1e-12 relative. Only
+    wall_nanos and config.output may differ."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    cfg = parse_config(root / "configs" / "quadratic_dynamic.cfg")
+    cfg.output = str(tmp_path / "quadratic_dynamic")
+    run_experiment(cfg)
+    for suffix in (".csv", ".baseline.csv"):
+        with open(cfg.output + suffix, newline="", encoding="utf-8") as fh:
+            got = list(csv.reader(fh))
+        with open(root / "results" / f"quadratic_dynamic{suffix}", newline="",
+                  encoding="utf-8") as fh:
+            ref = list(csv.reader(fh))
+        assert got[0] == ref[0] == CSV_COLUMNS
+        assert len(got) == len(ref) == cfg.T + 1
+        skip = CSV_COLUMNS.index("wall_nanos")
+        for g_row, r_row in zip(got[1:], ref[1:]):
+            for j, (a, b) in enumerate(zip(g_row, r_row, strict=True)):
+                assert j == skip or _same_value(a, b), (suffix, g_row[0], CSV_COLUMNS[j], a, b)
+    got = Path(cfg.output + ".meta.txt").read_text(encoding="utf-8").splitlines()
+    ref = (root / "results" / "quadratic_dynamic.meta.txt").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(ref)
+    for g_line, r_line in zip(got, ref):
+        key, _, a = g_line.partition(" = ")
+        ref_key, _, b = r_line.partition(" = ")
+        assert key == ref_key
+        assert key == "config.output" or _same_value(a, b), (key, a, b)
+
+
 _NUMPY_ONLY_RUN = """
 import sys
 from pathlib import Path

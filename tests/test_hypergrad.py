@@ -13,10 +13,11 @@ from oagd import (
     hypergradient,
     make_weights,
     quadratic_round,
+    quadratic_stream,
     solve_M,
     windowed_hypergradient,
 )
-from oagd.hypergrad import cholesky_solve, sm_solve
+from oagd.hypergrad import _check_residual, cholesky_solve, sm_solve
 from oagd.inner import newton_to_tolerance
 from oagd.problems import ElasticNetStream, HOStream
 
@@ -135,6 +136,59 @@ def test_sm_solve_rejects_nonpositive_diagonal():
     broken = dataclasses.replace(rnd, hess_yy_parts=lambda x, y: (a, -d))
     with pytest.raises(OracleDiverged, match="not finite and positive"):
         newton_to_tolerance(broken, x, y, tol=1e-12)
+
+
+def _stacked(rounds):
+    """A stacked round assembled from per-round handles whose rows share
+    their rank-one part a: row t of each argument goes to rounds[t]."""
+
+    def rows(name):
+        return lambda x, y: np.array([getattr(r, name)(p, q) for r, p, q in zip(rounds, x, y)])
+
+    def parts(x, y):
+        a, d = zip(*(r.hess_yy_parts(p, q) for r, p, q in zip(rounds, x, y)))
+        assert all(np.array_equal(v, a[0]) for v in a)
+        return a[0], np.array(d)
+
+    return RoundFunctions(
+        f=rows("f"), g=rows("g"), grad_x_f=rows("grad_x_f"), grad_y_f=rows("grad_y_f"),
+        grad_y_g=rows("grad_y_g"), jac_xy_g=rows("jac_xy_g"), hess_yy_g=rows("hess_yy_g"),
+        hess_yy_parts=parts,
+    )
+
+
+def test_stacked_hypergradient_matches_rows_and_flags_bad_row():
+    """A stacked round's hypergradient equals the per-row calls: bit for
+    bit on the quadratic stream's stacked_round, within 1e-12 relative on
+    a regression round at five points (d2 = 3, nonzero rank-one part, one
+    diagonal per point). One row with a
+    diagonal that is not finite and positive, or with a residual out of
+    tolerance, is a FactorizationFailure."""
+    rng = np.random.default_rng(41)
+    stream = quadratic_stream("alt_sqrt", 12)
+    x, y = rng.uniform(-1.0, 1.0, size=(9, 1)), rng.normal(size=(9, 1))
+    rows = stream.stacked_round(9)
+    expected = np.array([hypergradient(stream[t], x[t], y[t]) for t in range(9)])
+    assert np.array_equal(hypergradient(rows, x, y), expected)
+    for reg, _, _ in _structured_rounds():
+        xr = 0.5 * rng.normal(size=(5, reg.d1))
+        yr = rng.normal(size=(5, reg.d2))
+        expected = np.array([hypergradient(reg[3], xr[t], yr[t]) for t in range(5)])
+        np.testing.assert_allclose(hypergradient(_stacked([reg[3]] * 5), xr, yr),
+                                   expected, rtol=1e-12, atol=1e-14)
+    a, d = rows.hess_yy_parts(x, y)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        d_bad = np.array(d)
+        d_bad[4] = bad
+        broken = dataclasses.replace(rows, hess_yy_parts=lambda x, y: (a, d_bad))
+        with pytest.raises(FactorizationFailure, match="not finite and positive"):
+            hypergradient(broken, x, y)
+    # each row against its own Jacobian: row 1's large Jacobian does not
+    # excuse row 0's residual
+    jac = np.array([[[1.0]], [[1e6]]])
+    with pytest.raises(FactorizationFailure, match="linear-system residual"):
+        _check_residual(jac, np.array([[[1e-9]], [[0.0]]]))
+    _check_residual(jac, np.array([[[0.0]], [[1e-9]]]))
 
 
 def test_hypergradient_matches_composed_derivative_quadratic():

@@ -15,11 +15,13 @@ from oagd import (
     OracleDiverged,
     ProblemConstants,
     RoundFunctions,
+    StreamExhausted,
     derive_constants,
     inner_gd,
     k_for_round,
     newton_to_tolerance,
     quadratic_round,
+    quadratic_stream,
 )
 from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity, stream_inner_gd
 from oagd.core import FeasibleSet
@@ -296,17 +298,26 @@ def test_inner_schedule_validation():
 
 
 def test_stream_inner_gd_paths_agree_and_validate():
-    """A regression stream takes its fused inner_steps, a plain list of
-    rounds the generic inner_gd; both give the same bits and reject K < 1
-    and beta <= 0."""
-    stream = HOStream(*_regression_tables(4, seed=4), d1=1)
-    rounds = [stream[i] for i in range(len(stream))]
-    x, y = np.array([0.3]), np.ones(4)
-    np.testing.assert_array_equal(
-        stream_inner_gd(stream, 3, x, y, 0.05, 9), stream_inner_gd(rounds, 3, x, y, 0.05, 9)
+    """A regression or quadratic stream takes its fused inner_steps, a plain
+    list of rounds the generic inner_gd; both give the same bits, reject
+    K < 1 and beta <= 0, raise NonFiniteIterate for a diverging beta, and
+    the fused path raises StreamExhausted past the stream's end."""
+    cases = (
+        (HOStream(*_regression_tables(4, seed=4), d1=1), np.ones(4), 1e3),
+        (quadratic_stream("alt_sqrt", 6), np.array([-0.7]), 3.0),
     )
-    for s in (stream, rounds):
-        with pytest.raises(ValueError):
-            stream_inner_gd(s, 1, x, y, beta=0.05, K=0)
-        with pytest.raises(ValueError):
-            stream_inner_gd(s, 1, x, y, beta=0.0, K=1)
+    x = np.array([0.3])
+    for stream, y, beta_bad in cases:
+        rounds = [stream[i] for i in range(len(stream))]
+        np.testing.assert_array_equal(
+            stream_inner_gd(stream, 3, x, y, 0.05, 9), stream_inner_gd(rounds, 3, x, y, 0.05, 9)
+        )
+        for s in (stream, rounds):
+            with pytest.raises(ValueError):
+                stream_inner_gd(s, 1, x, y, beta=0.05, K=0)
+            with pytest.raises(ValueError):
+                stream_inner_gd(s, 1, x, y, beta=0.0, K=1)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
+                stream_inner_gd(s, 2, x, y, beta=beta_bad, K=5000)
+        with pytest.raises(StreamExhausted):
+            stream_inner_gd(stream, len(stream) + 1, x, y, 0.05, 1)

@@ -195,14 +195,16 @@ def test_ho_fast_window_matches_generic():
 
 def test_fused_inner_steps_match_inner_gd():
     """inner_steps is inner_gd on the round, bit for bit, for both ridge
-    shapes and both elastic-net shapes, and leaves its y untouched."""
+    shapes, both elastic-net shapes and the quadratic family, and leaves its
+    y untouched."""
     rng = np.random.default_rng(20)
     streams = (_small_ho(d1=1), _small_ho(d1=3),
-               _small_ho(d1=4, elastic=True), _small_ho(d1=6, elastic=True))
+               _small_ho(d1=4, elastic=True), _small_ho(d1=6, elastic=True),
+               quadratic_stream("alt_sqrt", 8))
     for s in streams:
         for t in (1, 4, 6):
             x = rng.uniform(-0.5, 0.5, size=s.d1)
-            y = rng.normal(size=3)
+            y = rng.normal(size=s.d2)
             y_before = y.copy()
             for K in (1, 7, 40):
                 fused = s.inner_steps(t, x, y, 0.05, K)

@@ -18,6 +18,7 @@ from oagd import (
     StepSizeSchedule,
     comparator_series,
     compute_report,
+    full_info_run,
     h_estimate,
     inner_oracle,
     local_regret_series,
@@ -25,6 +26,7 @@ from oagd import (
     oagd_run,
     outer_oracle,
     path_lengths,
+    project,
     quadratic_round,
     quadratic_stream,
 )
@@ -127,6 +129,77 @@ def test_comparator_series_closed_form_quadratic():
     # the static comparator is the projected mean of a2 - a1
     np.testing.assert_allclose(series.x_static, [np.mean(a2 - a1)], atol=1e-14)
     assert series.f_static is not None
+
+
+class _PerRound:
+    """A stream seen without its stacked_round: every other attribute is
+    the stream's own, so the measurement takes its per-round path."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __len__(self):
+        return len(self._stream)
+
+    def __getitem__(self, i):
+        return self._stream[i]
+
+    def __getattr__(self, name):
+        if name == "stacked_round":
+            raise AttributeError(name)
+        return getattr(self._stream, name)
+
+
+def _stacked_cases():
+    """Quadratic streams of 40 rounds on each kind of feasible set."""
+    rng = np.random.default_rng(31)
+    custom = tuple(rng.uniform(-1.5, 1.5, size=(4, 40)))
+    sets = (
+        FeasibleSet.symmetric_box(1.0, 1),
+        FeasibleSet.box([-0.3], [0.8]),
+        FeasibleSet.unbounded(),
+        FeasibleSet.ball([0.2], 0.5),
+    )
+    for fset in sets:
+        yield quadratic_stream("alt_sqrt", 40, a1_mode="match", fset=fset)
+        yield quadratic_stream("alt_sqrt", 40, a1_mode="zero", fset=fset)
+        yield quadratic_stream("constant", 40, a1_const=0.4, a2_const=-0.5, fset=fset)
+        yield quadratic_stream("custom", 40, coefficients=custom, fset=fset)
+
+
+def test_stacked_quadratic_measurement_matches_per_round():
+    """The stacked path of comparator_series (with its static block),
+    local_regret_series and full_info_run gives what the per-round path
+    gives over the first T = 25 of 40 rounds: comparators, K and alpha
+    exactly, every other value within 1e-15 relative."""
+    T = 25
+    window = make_weights("exponential", 4, gamma=0.7)
+    for stream in _stacked_cases():
+        per_round = _PerRound(stream)
+        fset = stream.fset
+        stacked_cmp = comparator_series(stream, fset, T=T)
+        ref_cmp = comparator_series(per_round, fset, T=T)
+        for name in ("x_star", "y_star", "x_static"):
+            np.testing.assert_array_equal(getattr(stacked_cmp, name), getattr(ref_cmp, name))
+        for name in ("f_star", "grad_norm", "y_static", "f_static"):
+            np.testing.assert_allclose(getattr(stacked_cmp, name), getattr(ref_cmp, name),
+                                       rtol=1e-15, atol=0.0)
+        assert stacked_cmp.provenance == ref_cmp.provenance == "closed_form"
+
+        init = DecisionPair(x=project(fset, np.array([0.6])), y=np.array([-0.4]))
+        trace = oagd_run(stream, init, fset, window, StepSizeSchedule.constant(0.3),
+                         InnerSchedule.fixed(beta=0.5, K=3), T=T)
+        np.testing.assert_allclose(local_regret_series(trace, stream, window),
+                                   local_regret_series(trace, per_round, window),
+                                   rtol=1e-15, atol=0.0)
+
+        got, ref = full_info_run(stream, init, T), full_info_run(per_round, init, T)
+        for name in ("K", "alpha"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        for name in ("x", "y", "y_after_inner", "hypergrad", "beta", "f_value",
+                     "inner_residual", "final_x", "final_y"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=1e-15, atol=0.0)
 
 
 def test_comparator_series_numeric_provenance():
