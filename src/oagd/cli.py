@@ -480,24 +480,29 @@ def _set_up(cfg: ExperimentConfig):
 
 
 def _write_csv(path: Path, trace: Trace, report: RegretReport):
-    nan = float("nan")
+    """One row per round in csv.writer's excel dialect, which these fields
+    never need to quote: comma separated, \\r\\n line ends, floats as repr."""
+    nan_column = [float("nan")] * trace.T
+    columns = zip(
+        range(1, trace.T + 1),
+        trace.f_value.tolist(),
+        report.bd_regret.tolist(),
+        nan_column if report.bs_regret is None else report.bs_regret.tolist(),
+        nan_column if report.bl_regret is None else report.bl_regret.tolist(),
+        report.p2_series.tolist(),
+        report.y2_series.tolist(),
+        trace.alpha.tolist(),
+        trace.K.tolist(),
+        trace.inner_residual.tolist(),
+        trace.wall_nanos.tolist(),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(trace.T):
-            writer.writerow([
-                i + 1,
-                repr(float(trace.f_value[i])),
-                repr(float(report.bd_regret[i])),
-                repr(float(report.bs_regret[i]) if report.bs_regret is not None else nan),
-                repr(float(report.bl_regret[i]) if report.bl_regret is not None else nan),
-                repr(float(report.p2_series[i])),
-                repr(float(report.y2_series[i])),
-                repr(float(trace.alpha[i])),
-                int(trace.K[i]),
-                repr(float(trace.inner_residual[i])),
-                int(trace.wall_nanos[i]),
-            ])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        # one row at a time: the whole file as one string costs peak memory
+        fh.writelines(
+            f"{t},{f!r},{bd!r},{bs!r},{bl!r},{p2!r},{y2!r},{a!r},{k},{r!r},{ns}\r\n"
+            for t, f, bd, bs, bl, p2, y2, a, k, r, ns in columns
+        )
 
 
 def _final(series: Optional[np.ndarray]) -> float:

@@ -117,7 +117,8 @@ def project(fset: FeasibleSet, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if fset.kind == "box":
-        return np.clip(x, fset.lower, fset.upper)
+        # the method reaches np.clip's ufunc without its dispatch layer
+        return x.clip(fset.lower, fset.upper)
     if fset.kind == "ball":
         delta = x - fset.center
         if x.ndim == 2:
@@ -221,16 +222,18 @@ class RoundFunctions:
       closed_form_x_partial(y): exact argmin_x f(x, y) with y held fixed,
         used by the full-information baseline.
 
-    Stacked rounds: a stream may offer stacked_round(T), one bundle for
-    its rounds 1..T whose callables act on a leading round axis (x (T, d1),
-    y (T, d2), f (T,), jac_xy_g (T, d1, d2), the closed forms (T, .)) with
-    row t - 1 evaluated as round t; its hess_yy_parts gives the (d2,) a
-    every row shares and a (T, d2) d. Only streams whose every round has
-    all three closed forms and the same a offer one (the quadratic
-    family). The measurement
-    (comparator_series, attach_static, local_regret_series, full_info_run)
-    evaluates it in one call where it would loop over rounds, and keeps
-    that loop for every other stream.
+    Stacked rounds: a stream may offer stacked_round(T, start=0), one
+    bundle for its rounds start + 1..T whose callables act on a leading
+    round axis of n = T - start rows (x (n, d1), y (n, d2), f (n,),
+    jac_xy_g (n, d1, d2), the closed forms (n, .)) with row t - start - 1
+    evaluated as round t; its hess_yy_parts gives the (d2,) a every row
+    shares and an (n, d2) d, and its closed_form_y_star also takes a cloud
+    x (n, P, d1), giving (n, P, d2). Only streams whose every round has all
+    three closed forms and the same a offer one (the quadratic family).
+    The measurement (comparator_series, attach_static, local_regret_series,
+    h_estimate, and the f_value / inner_residual fill of both drivers)
+    evaluates it in one call where it would loop over rounds (h_estimate
+    in blocks of rounds), and keeps that loop for every other stream.
     """
 
     f: Callable[[np.ndarray, np.ndarray], float]

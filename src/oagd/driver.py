@@ -131,7 +131,9 @@ class Trace:
     Row t-1 holds the PLAYED pair (x_t, y_t) and f_t(x_t, y_t); the
     post-inner decision y_{t+1}; the windowed hypergradient used for the
     outer step; the schedule values; the residual ||grad_y g_t(x_t,
-    y_{t+1})||; and the round's wall time. Consecutive rows satisfy
+    y_{t+1})||; and the round's wall time. f_value and inner_residual only
+    measure a round, so the drivers fill them after their loops, and
+    wall_nanos time the round's algorithm alone. Consecutive rows satisfy
     x_{t+1} = project(X, x_t - alpha_t * hypergrad_t) for the online driver
     (benchmark traces set alpha_t = 0 and K_t = 0 and step by oracle
     instead). final_x / final_y hold the never-played pair (x_{T+1},
@@ -202,7 +204,8 @@ def oagd_run(
     fixed or custom inner schedules. The follower's steps go through
     stream_inner_gd and the window average through
     stream_windowed_hypergradient (each takes the stream's fast path when
-    it has one).
+    it has one). f_value and inner_residual are filled after the loop
+    (_measure_rounds).
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
@@ -214,7 +217,6 @@ def oagd_run(
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
-        rnd = stream[t - 1]
         K_t, capped = k_for_round(inner, constants, t)
         if capped:
             trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
@@ -225,7 +227,7 @@ def oagd_run(
         hg = stream_windowed_hypergradient(stream, t, window, x, y_next)
         alpha_t = steps.alpha_at(t)
         x_next = project(fset, x - alpha_t * hg)
-        if not (np.all(np.isfinite(hg)) and np.all(np.isfinite(x_next))):
+        if not (np.isfinite(hg).all() and np.isfinite(x_next).all()):
             raise NonFiniteIterate("outer iterate became non-finite", round_index=t)
         i = t - 1
         trace.x[i] = x
@@ -235,12 +237,11 @@ def oagd_run(
         trace.alpha[i] = alpha_t
         trace.beta[i] = inner.beta
         trace.K[i] = K_t
-        trace.f_value[i] = rnd.f(x, y)
-        trace.inner_residual[i] = np.linalg.norm(rnd.grad_y_g(x, y_next))
         trace.wall_nanos[i] = time.perf_counter_ns() - t0
         x, y = x_next, y_next
     trace.final_x = x
     trace.final_y = y
+    _measure_rounds(stream, trace)
     return trace
 
 
@@ -254,16 +255,13 @@ def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
 
     Trace rows mark oracle steps with K_t = 0 and alpha_t = 0; the recorded
     hypergradient is the exact one at (x_t, y_{t+1}), kept for diagnostics.
-    A stream with stacked_round(T) fills f_value, hypergrad and
-    inner_residual after the loop, one call each on its stacked round, so
-    its wall_nanos time the two closed forms alone; any other stream
-    fills them round by round.
+    It is filled after the loop with f_value and inner_residual
+    (_measure_rounds), so wall_nanos time the two closed forms alone.
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
-    stacked = getattr(stream, "stacked_round", None)
     for t in range(1, T + 1):
         t0 = time.perf_counter_ns()
         rnd = stream[t - 1]
@@ -277,21 +275,35 @@ def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
         trace.x[i] = x
         trace.y[i] = y
         trace.y_after_inner[i] = y_next
-        if stacked is None:
-            trace.hypergrad[i] = hypergradient(rnd, x, y_next)
-            trace.f_value[i] = rnd.f(x, y)
-            trace.inner_residual[i] = np.linalg.norm(rnd.grad_y_g(x, y_next))
         trace.wall_nanos[i] = time.perf_counter_ns() - t0
         x, y = x_next, y_next
     trace.alpha[:] = 0.0
     trace.beta[:] = 0.0
     trace.K[:] = 0
-    if stacked is not None:
-        rows = stacked(T)
-        trace.hypergrad[:] = hypergradient(rows, trace.x, trace.y_after_inner)
-        trace.f_value[:] = rows.f(trace.x, trace.y)
-        trace.inner_residual[:] = np.linalg.norm(
-            rows.grad_y_g(trace.x, trace.y_after_inner), axis=1)
     trace.final_x = x
     trace.final_y = y
+    _measure_rounds(stream, trace, hypergrad=True)
     return trace
+
+
+def _measure_rounds(stream, trace: Trace, hypergrad: bool = False):
+    """Fill a finished trace's f_value (at the played pair) and
+    inner_residual (at the post-inner y), and with hypergrad its exact
+    hypergradient at (x_t, y_{t+1}). A stream with stacked_round(T) gets
+    one call each on its stacked round, whose rows carry the per-round
+    bits; any other stream is measured round by round."""
+    x, y, y_next = trace.x, trace.y, trace.y_after_inner
+    stacked = getattr(stream, "stacked_round", None)
+    if stacked is not None:
+        rows = stacked(trace.T)
+        if hypergrad:
+            trace.hypergrad[:] = hypergradient(rows, x, y_next)
+        trace.f_value[:] = rows.f(x, y)
+        trace.inner_residual[:] = np.linalg.norm(rows.grad_y_g(x, y_next), axis=1)
+        return
+    for i in range(trace.T):
+        rnd = stream[i]
+        if hypergrad:
+            trace.hypergrad[i] = hypergradient(rnd, x[i], y_next[i])
+        trace.f_value[i] = rnd.f(x[i], y[i])
+        trace.inner_residual[i] = np.linalg.norm(rnd.grad_y_g(x[i], y_next[i]))

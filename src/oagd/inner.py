@@ -66,7 +66,7 @@ def _check_step(beta: float, K: int):
 
 
 def _require_finite(z: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NonFiniteIterate("inner iterate became non-finite")
     return z
 

@@ -32,14 +32,14 @@ floats. inner.stream_inner_gd picks it up when present and otherwise runs
 inner.inner_gd on the round. Both paths evaluate the same gradient
 expression and give bit-identical iterates.
 
-The quadratic stream also exposes stacked_round(T) (see RoundFunctions),
-which the measurement evaluates over all rounds at once; the regression
-streams have none and are measured round by round. quadratic_round keeps
-its scalar arithmetic: the loop evaluates f_t one round at a time, and
-numpy's scalar float64 ** 2 (C pow) differs in the last bit from array
-squaring on about 0.1% of inputs, so a broadcast round would change the
-loop's output bits. The stacked round squares with np.float_power, which
-calls the same C pow per element.
+The quadratic stream also exposes stacked_round(T, start) (see
+RoundFunctions) and stacked_windowed_hypergrad, which the measurement
+evaluates over many rounds at once; the regression streams have neither
+and are measured round by round. quadratic_round keeps its scalar
+arithmetic as the per-round reference whose bits every stacked row
+carries: numpy's scalar float64 ** 2 (C pow) differs in the last bit from
+array squaring on about 0.1% of inputs, so the stacked round squares with
+np.float_power, which calls the same C pow per element.
 """
 from __future__ import annotations
 
@@ -145,25 +145,27 @@ class QuadraticStream:
             self._cache[i] = rnd
         return rnd
 
-    def stacked_round(self, T: int) -> RoundFunctions:
-        """Rounds 1..T as one RoundFunctions over a leading round axis: row
-        t - 1 of x (T, 1) and y (T, 1) is evaluated with round t's
-        coefficients. f and g give (T,), the gradients (T, 1), jac_xy_g
-        (T, 1, 1), hess_yy_parts the shared a = 0 and a (T, 1) d = 1,
-        hess_yy_g (T, 1, 1), closed_form_y_star(x) (T, 1) and both
-        closed-form comparators (T, 1).
+    def stacked_round(self, T: int, start: int = 0) -> RoundFunctions:
+        """Rounds start + 1..T as one RoundFunctions over a leading round
+        axis of n = T - start rows: row t - start - 1 of x (n, 1) and
+        y (n, 1) is evaluated with round t's coefficients. f and g give
+        (n,), the gradients (n, 1), jac_xy_g (n, 1, 1), hess_yy_parts the
+        shared a = 0 and an (n, 1) d = 1, hess_yy_g (n, 1, 1), both
+        closed-form comparators (n, 1), and closed_form_y_star(x) (n, 1),
+        or (n, P, 1) for a cloud x of shape (n, P, 1).
 
-        Every row carries the bits of self[t - 1]: the squares go through
-        np.float_power, which calls C pow per element as the round's scalar
-        float64 ** 2 does (array squaring, x * x, differs from it in the
-        last bit on about 0.1% of inputs).
+        Every row carries the bits of its round self[t - 1]: the squares go
+        through np.float_power, which calls C pow per element as the round's
+        scalar float64 ** 2 does (array squaring, x * x, differs from it in
+        the last bit on about 0.1% of inputs).
         """
         if T > len(self):
             raise StreamExhausted(len(self) + 1, available=len(self))
-        a1, a2, a3, a4 = self.a1[:T], self.a2[:T], self.a3[:T], self.a4[:T]
+        n = T - start
+        a1, a2, a3, a4 = (c[start:T] for c in (self.a1, self.a2, self.a3, self.a4))
         a1c, a2c = a1[:, None], a2[:, None]
         fset = self.fset
-        parts = (_QUAD_HESS_PARTS[0], np.broadcast_to(1.0, (T, 1)))
+        parts = (_QUAD_HESS_PARTS[0], np.broadcast_to(1.0, (n, 1)))
 
         def f(x, y):
             return (0.5 * np.float_power(x[:, 0] + 2.0 * a1, 2)
@@ -172,19 +174,23 @@ class QuadraticStream:
         def g(x, y):
             return 0.5 * np.float_power(y[:, 0], 2) - (x[:, 0] - a2) * y[:, 0] + a4
 
+        def closed_form_y_star(x):
+            x = np.asarray(x, dtype=float)
+            return x[..., :1] - a2.reshape((n,) + (1,) * (x.ndim - 1))
+
         return RoundFunctions(
             f=f,
             g=g,
             grad_x_f=lambda x, y: x + 2.0 * a1c,
             grad_y_f=lambda x, y: y - a2c,
             grad_y_g=lambda x, y: y - x + a2c,
-            jac_xy_g=lambda x, y: np.full((T, 1, 1), -1.0),
-            hess_yy_g=lambda x, y: np.ones((T, 1, 1)),
+            jac_xy_g=lambda x, y: np.full((n, 1, 1), -1.0),
+            hess_yy_g=lambda x, y: np.ones((n, 1, 1)),
             hess_yy_parts=lambda x, y: parts,
-            closed_form_y_star=lambda x: np.asarray(x, dtype=float)[:, :1] - a2c,
+            closed_form_y_star=closed_form_y_star,
             closed_form_x_star=lambda: project(fset, a2c - a1c),
             closed_form_x_partial=lambda y: project(fset, -2.0 * a1c),
-            label=f"quadratic t=1..{T}",
+            label=f"quadratic t={start + 1}..{T}",
         )
 
     def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
@@ -207,6 +213,22 @@ class QuadraticStream:
         s = self._shift[t - m:t][::-1]
         val = quad_window_reduce(s, window.u[:m], float(x[0]) + float(y[0]))
         return np.array([val / window.W])
+
+    def stacked_windowed_hypergrad(self, window, x, y) -> np.ndarray:
+        """windowed_hypergrad of rounds 1..T at once, row t - 1 at the pair
+        (x[t - 1], y[t - 1]) of x (T, 1) and y (T, 1): the window's terms
+        added one lag at a time, u_i ((x + y)_t + shift_{t-i}) into every
+        row t > i. For w = 1 every row equals windowed_hypergrad's; for
+        w > 1 the sums run in another order (a few ulp apart)."""
+        T = x.shape[0]
+        if T > len(self):
+            raise StreamExhausted(len(self) + 1, available=len(self))
+        xpy = x + y
+        u, s = window.u, self._shift[:T, None]
+        acc = u[0] * (xpy + s)
+        for i in range(1, min(window.w, T)):
+            acc[i:] += u[i] * (xpy[i:] + s[:T - i])
+        return acc / window.W
 
     def closed_form_static_comparator(self) -> np.ndarray:
         """argmin_x sum_t f_t(x, y*_t(x)) in closed form (then projected)."""

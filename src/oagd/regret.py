@@ -286,6 +286,10 @@ def _sample_points(fset: FeasibleSet, d1: int, n: int,
     return pts
 
 
+#: rounds per stacked solve in h_estimate
+H_BLOCK_ROUNDS = 256
+
+
 def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
                n_samples: int = 128, trace_x: Optional[np.ndarray] = None) -> float:
     """Sampled lower bound on H_T = sum_t sup_x ||y*_{t-1}(x) - y*_t(x)||^2.
@@ -293,21 +297,36 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
     The supremum is taken over a finite point cloud (quasi-random points
     plus box corners when affordable; for unbounded sets the cloud covers
     the visited x range padded by 1), so the value underestimates the true
-    supremum. Each round solves the whole cloud in one inner_oracle call:
-    a batched closed form, or damped Newton per point warm started from the
-    previous round's solution at that point.
+    supremum. A stream with stacked_round solves the cloud for blocks of
+    H_BLOCK_ROUNDS rounds in one closed-form call each; any other stream
+    solves it round by round in one inner_oracle call: a batched closed
+    form, or damped Newton per point warm started from the previous round's
+    solution at that point. The stacked path still adds the rounds' suprema
+    one at a time in round order, so it gives the per-round path's bits.
     """
     d1, d2 = _stream_dims(stream)
     if T is None:
         T = len(stream)
     if T < 2:
         return 0.0
-    # round by round even on a stream with stacked_round: solving the whole
-    # (T, P) cloud at once raised the peak RSS of a quadratic_dynamic.cfg
-    # run (T = 2000, P = 130) from 36.8 to 41.4 MB, to save tens of ms
     pts = _sample_points(fset, d1, n_samples, trace_x=trace_x)
-    prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
     total = 0.0
+    stacked = getattr(stream, "stacked_round", None)
+    if stacked is not None:
+        # a block bounds memory: solving the whole (T, P) cloud of a
+        # quadratic_dynamic.cfg run (T = 2000, P = 130) at once raised its
+        # peak RSS from 36.8 to 41.4 MB. Blocks of 256 rounds (0.27 MB per
+        # temporary) take as long as one block of all 2000 (3.4 ms on a
+        # 2-core VM; 64-round blocks 4.8 ms). Consecutive blocks share a
+        # round, whose solution is recomputed.
+        for start in range(0, T - 1, H_BLOCK_ROUNDS):
+            stop = min(start + H_BLOCK_ROUNDS + 1, T)
+            ys = inner_oracle(stacked(stop, start=start),
+                              np.broadcast_to(pts, (stop - start,) + pts.shape))
+            for sup in np.max(np.sum((ys[1:] - ys[:-1]) ** 2, axis=2), axis=1).tolist():
+                total += sup
+        return total
+    prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
     for t in range(1, T):
         cur = inner_oracle(stream[t], pts, y0=prev)
         total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
@@ -318,10 +337,11 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
 def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
     """Cumulative sum of ||windowed hypergradient at (x_t, y*_t(x_t))||^2,
     the windowed gradient evaluated at the exact inner response to the
-    played x_t. The responses come from one call on the stream's stacked
-    round when it has one, else from inner_oracle round by round (warm
-    started from the previous response); the windowed gradient is taken
-    round by round."""
+    played x_t. A stream with stacked_round takes the responses from one
+    call on its stacked round, and one with stacked_windowed_hypergrad the
+    windowed gradients of every round in one call; any other stream takes
+    them round by round (the responses from inner_oracle, warm started
+    from the previous one)."""
     T = trace.T
     stacked = getattr(stream, "stacked_round", None)
     if stacked is not None:
@@ -331,6 +351,9 @@ def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
         y_prev = np.zeros(trace.d2)
         for t in range(T):
             y_prev = y_star[t] = inner_oracle(stream[t], trace.x[t], y0=y_prev)
+    windowed = getattr(stream, "stacked_windowed_hypergrad", None)
+    if windowed is not None:
+        return np.cumsum(np.sum(windowed(window, trace.x, y_star) ** 2, axis=1))
     vals = np.empty(T)
     for t in range(1, T + 1):
         hg = stream_windowed_hypergradient(stream, t, window, trace.x[t - 1], y_star[t - 1])

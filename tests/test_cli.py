@@ -20,6 +20,7 @@ from oagd.cli import (
     ExperimentConfig,
     _parse_windows,
     _set_up,
+    _write_csv,
     build_schedules,
     load_csv,
     main,
@@ -28,6 +29,7 @@ from oagd.cli import (
     run_experiment,
     validate_config,
 )
+from oagd.driver import Trace
 from oagd.hypergrad import make_weights
 
 
@@ -333,6 +335,59 @@ def test_run_experiment_writes_csv_and_meta(tmp_path):
     meta_text = (tmp_path / "run.meta.txt").read_text(encoding="utf-8")
     assert "config.problem = quadratic" in meta_text
     assert "bd_final" in meta_text or "bd" in meta_text
+
+
+def _csv_writer_reference(path, trace, report):
+    """The trace CSV as csv.writer wrote it, row by row."""
+    nan = float("nan")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for i in range(trace.T):
+            writer.writerow([
+                i + 1,
+                repr(float(trace.f_value[i])),
+                repr(float(report.bd_regret[i])),
+                repr(float(report.bs_regret[i]) if report.bs_regret is not None else nan),
+                repr(float(report.bl_regret[i]) if report.bl_regret is not None else nan),
+                repr(float(report.p2_series[i])),
+                repr(float(report.y2_series[i])),
+                repr(float(trace.alpha[i])),
+                int(trace.K[i]),
+                repr(float(trace.inner_residual[i])),
+                int(trace.wall_nanos[i]),
+            ])
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    """_write_csv writes csv.writer's bytes, with and without the static
+    and local regret columns, for signed zeros, infinities, nan,
+    subnormals, large floats and 63-bit wall times."""
+    odd = np.array([-0.0, np.inf, -np.inf, 5e-324, 1e16, -1.5e-300, 0.1, np.nan])
+    T = odd.shape[0]
+    trace = Trace.allocate(T, 1, 1)
+    trace.f_value[:] = odd
+    trace.alpha[:] = odd[::-1]
+    trace.K[:] = [0, 1, 7, 10_000, 3, 2, 1, 0]
+    trace.inner_residual[:] = np.roll(odd, 3)
+    trace.wall_nanos[:] = 2**62 + np.arange(T) * 999_999_937
+    report = regret.RegretReport(
+        bd_regret=np.roll(odd, 1), bs_regret=None, bl_regret=None,
+        p1=0.0, p2=0.0, y1=0.0, y2=0.0, ybar1=0.0, ybar2=0.0, h_T=0.0,
+        comparator_grad_sum=0.0, f_star_sum=0.0,
+        p2_series=np.roll(odd, 2), y2_series=-np.roll(odd, 4),
+        x_static=None, provenance="closed_form",
+    )
+    full = dataclasses.replace(report, bs_regret=np.roll(odd, 5), bl_regret=np.roll(odd, 6))
+    for rep in (report, full):
+        _write_csv(tmp_path / "got.csv", trace, rep)
+        if rep is report:
+            rows = (tmp_path / "got.csv").read_text(encoding="utf-8").splitlines()[1:]
+            assert all(row.split(",")[3:5] == ["nan", "nan"] for row in rows)
+        _csv_writer_reference(tmp_path / "ref.csv", trace, rep)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == T + 1
 
 
 def test_run_experiment_full_info_baseline(tmp_path, monkeypatch):

@@ -71,14 +71,23 @@ def test_trace_replay_invariant():
 
 def test_trace_records_played_values():
     """f_value row t holds f_t at the pair played in round t, before the
-    round's inner update."""
-    stream = quadratic_stream("alt_sqrt", T=12)
-    tr = _run(stream, T=12, w=3, init=(0.4, 0.2))
-    for t in range(12):
-        expected = stream[t].f(tr.x[t], tr.y[t])
-        assert tr.f_value[t] == pytest.approx(expected, abs=1e-14)
-        resid = np.linalg.norm(stream[t].grad_y_g(tr.x[t], tr.y_after_inner[t]))
-        assert tr.inner_residual[t] == pytest.approx(resid, abs=1e-14)
+    round's inner update, and inner_residual the inner gradient norm after
+    it, on a quadratic stream (filled from its stacked round) and on a
+    ridge stream (filled round by round)."""
+    quad = quadratic_stream("alt_sqrt", T=12)
+    rng = np.random.default_rng(12)
+    ridge = HOStream(rng.normal(size=(12, 3)), rng.normal(size=12),
+                     rng.normal(size=(12, 3)), rng.normal(size=12), d1=1)
+    runs = ((quad, _run(quad, T=12, w=3, init=(0.4, 0.2))),
+            (ridge, oagd_run(ridge, DecisionPair(x=np.array([0.4]), y=np.array([0.2, -0.1, 0.3])),
+                             FeasibleSet.symmetric_box(1.0, 1), make_weights("uniform", 3),
+                             StepSizeSchedule.constant(0.1), InnerSchedule.fixed(beta=0.05, K=2),
+                             T=12)))
+    for stream, tr in runs:
+        for t in range(12):
+            assert tr.f_value[t] == stream[t].f(tr.x[t], tr.y[t])
+            resid = np.linalg.norm(stream[t].grad_y_g(tr.x[t], tr.y_after_inner[t]))
+            assert tr.inner_residual[t] == resid
 
 
 def test_iterates_stay_feasible():

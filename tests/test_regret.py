@@ -30,7 +30,13 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
 )
-from oagd.regret import INNER_ORACLE_TOL, _sample_points, attach_static, kronecker_points
+from oagd.regret import (
+    H_BLOCK_ROUNDS,
+    INNER_ORACLE_TOL,
+    _sample_points,
+    attach_static,
+    kronecker_points,
+)
 
 
 def _strip(rnd):
@@ -132,8 +138,9 @@ def test_comparator_series_closed_form_quadratic():
 
 
 class _PerRound:
-    """A stream seen without its stacked_round: every other attribute is
-    the stream's own, so the measurement takes its per-round path."""
+    """A stream seen without stacked_round and stacked_windowed_hypergrad:
+    every other attribute is the stream's own, so the measurement takes its
+    per-round path."""
 
     def __init__(self, stream):
         self._stream = stream
@@ -145,7 +152,7 @@ class _PerRound:
         return self._stream[i]
 
     def __getattr__(self, name):
-        if name == "stacked_round":
+        if name in ("stacked_round", "stacked_windowed_hypergrad"):
             raise AttributeError(name)
         return getattr(self._stream, name)
 
@@ -167,13 +174,28 @@ def _stacked_cases():
         yield quadratic_stream("custom", 40, coefficients=custom, fset=fset)
 
 
+TRACE_FIELDS = ("x", "y", "y_after_inner", "hypergrad", "alpha", "beta", "K",
+                "f_value", "inner_residual", "final_x", "final_y")
+
+
+def _assert_same_bits(got, ref, name=""):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape, name
+    assert got.tobytes() == ref.tobytes(), name
+
+
 def test_stacked_quadratic_measurement_matches_per_round():
-    """The stacked path of comparator_series (with its static block),
-    local_regret_series and full_info_run gives what the per-round path
-    gives over the first T = 25 of 40 rounds: comparators, K and alpha
-    exactly, every other value within 1e-15 relative."""
+    """The stacked paths of comparator_series (with its static block),
+    oagd_run, full_info_run and local_regret_series give what the
+    per-round path gives over the first T = 25 of 40 rounds: comparators
+    exactly and their values within 1e-15 relative; both drivers' traces
+    bit for bit except wall_nanos; local regret bit for bit at w = 1 and
+    within 1e-15 relative for longer windows, whose sums run in another
+    order."""
     T = 25
-    window = make_weights("exponential", 4, gamma=0.7)
+    windows = (make_weights("uniform", 1), make_weights("uniform", 3),
+               make_weights("uniform", T), make_weights("exponential", 4, gamma=0.7),
+               make_weights("exponential", 10, gamma=0.8))
     for stream in _stacked_cases():
         per_round = _PerRound(stream)
         fset = stream.fset
@@ -187,19 +209,22 @@ def test_stacked_quadratic_measurement_matches_per_round():
         assert stacked_cmp.provenance == ref_cmp.provenance == "closed_form"
 
         init = DecisionPair(x=project(fset, np.array([0.6])), y=np.array([-0.4]))
-        trace = oagd_run(stream, init, fset, window, StepSizeSchedule.constant(0.3),
-                         InnerSchedule.fixed(beta=0.5, K=3), T=T)
-        np.testing.assert_allclose(local_regret_series(trace, stream, window),
-                                   local_regret_series(trace, per_round, window),
-                                   rtol=1e-15, atol=0.0)
+        run = (init, fset, windows[3], StepSizeSchedule.constant(0.3),
+               InnerSchedule.fixed(beta=0.5, K=3))
+        trace = oagd_run(stream, *run, T=T)
+        for got, ref in ((trace, oagd_run(per_round, *run, T=T)),
+                         (full_info_run(stream, init, T), full_info_run(per_round, init, T))):
+            for name in TRACE_FIELDS:
+                _assert_same_bits(getattr(got, name), getattr(ref, name), name)
+            assert got.warnings == ref.warnings
 
-        got, ref = full_info_run(stream, init, T), full_info_run(per_round, init, T)
-        for name in ("K", "alpha"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-        for name in ("x", "y", "y_after_inner", "hypergrad", "beta", "f_value",
-                     "inner_residual", "final_x", "final_y"):
-            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
-                                       rtol=1e-15, atol=0.0)
+        for window in windows:
+            got = local_regret_series(trace, stream, window)
+            ref = local_regret_series(trace, per_round, window)
+            if window.w == 1:
+                _assert_same_bits(got, ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 def test_comparator_series_numeric_provenance():
@@ -309,18 +334,23 @@ def _h_per_point(stream, pts):
 
 
 def test_h_estimate_matches_per_point_oracle():
-    """One batched call per round equals the per-point loop: exactly for
-    the quadratic closed form and the elastic net's per-point Newton, within
-    1e-12 for ridge closed forms with d1 = 1 and d1 = d2."""
+    """One batched call per round, or per block of H_BLOCK_ROUNDS rounds on
+    a stacked stream, equals the per-point loop: exactly for the quadratic
+    closed form (around the block edges and over several blocks too) and
+    the elastic net's per-point Newton, within 1e-12 for ridge closed forms
+    with d1 = 1 and d1 = d2."""
     rng = np.random.default_rng(40)
     T, d2, n = 6, 3, 12
     tables = (rng.normal(size=(T, d2)), rng.normal(size=T),
               rng.normal(size=(T, d2)), rng.normal(size=T))
     quad = quadratic_stream("alt_sqrt", T=T)
-    cases = [(quad, quad.fset, 0.0),
-             (HOStream(*tables, d1=1), FeasibleSet.box([-1.0], [1.0]), 1e-12),
-             (HOStream(*tables, d1=d2), FeasibleSet.symmetric_box(1.0, d2), 1e-12),
-             (ElasticNetStream(*tables, mu_smooth=0.5), FeasibleSet.symmetric_box(1.0, d2 + 1), 0.0)]
+    long_quads = [quadratic_stream("custom", T=m, fset=FeasibleSet.box([-0.3], [0.8]),
+                                   coefficients=tuple(rng.uniform(-1.5, 1.5, size=(4, m))))
+                  for m in (2, H_BLOCK_ROUNDS - 1, H_BLOCK_ROUNDS, H_BLOCK_ROUNDS + 1, 600)]
+    cases = [(q, q.fset, 0.0) for q in [quad] + long_quads]
+    cases += [(HOStream(*tables, d1=1), FeasibleSet.box([-1.0], [1.0]), 1e-12),
+              (HOStream(*tables, d1=d2), FeasibleSet.symmetric_box(1.0, d2), 1e-12),
+              (ElasticNetStream(*tables, mu_smooth=0.5), FeasibleSet.symmetric_box(1.0, d2 + 1), 0.0)]
     for stream, fset, rel in cases:
         pts = _sample_points(fset, stream.d1, n)
         h = h_estimate(stream, fset, n_samples=n)
