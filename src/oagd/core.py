@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -209,11 +209,11 @@ class RoundFunctions:
     returns the (d2, d2) inner Hessian.
 
     Optional handles:
-      hess_yy_parts(x, y): the inner Hessian as a pair (a, d) of (d2,)
-        vectors with hess_yy_g = diag(d) + a a^T. A round that sets it has
-        its Newton steps and M solves done by hypergrad.sm_solve, and builds
-        its dense hess_yy_g from the same pair (dense_hessian); without it
-        they factor hess_yy_g densely (hypergrad.cholesky_solve).
+      hess_yy_parts(x, y): the inner Hessian as (a, d), (d2,) vectors with
+        hess_yy_g = diag(d) + a a^T, solved by hypergrad.sm_solve (and made
+        dense by dense_hessian); without it hess_yy_g is factored densely.
+      inner_model(x): g(x, .) at one x as an InnerModel, its x-dependent
+        factors computed once; newton_to_tolerance reads g only through it.
       closed_form_y_star(x): exact inner minimizer. It also accepts a batch
         x of shape (P, d1) and returns the (P, d2) minimizers row by row, so
         a caller can solve a whole point cloud in one call.
@@ -229,11 +229,10 @@ class RoundFunctions:
     evaluated as round t; its hess_yy_parts gives the (d2,) a every row
     shares and an (n, d2) d, and its closed_form_y_star also takes a cloud
     x (n, P, d1), giving (n, P, d2). Only streams whose every round has all
-    three closed forms and the same a offer one (the quadratic family).
-    The measurement (comparator_series, attach_static, local_regret_series,
-    h_estimate, and the f_value / inner_residual fill of both drivers)
-    evaluates it in one call where it would loop over rounds (h_estimate
-    in blocks of rounds), and keeps that loop for every other stream.
+    three closed forms and the same a offer one (the quadratic family), and
+    its closed_form_x_partial does not read y. The measurement, full_info_run
+    and the f_value / inner_residual fill of both drivers evaluate it in
+    one call where they would loop over rounds (h_estimate in blocks).
     """
 
     f: Callable[[np.ndarray, np.ndarray], float]
@@ -244,10 +243,33 @@ class RoundFunctions:
     jac_xy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_yy_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    inner_model: Optional[Callable[[np.ndarray], "InnerModel"]] = None
     closed_form_y_star: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_form_x_star: Optional[Callable[[], np.ndarray]] = None
     closed_form_x_partial: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = field(default="round")
+
+
+class InnerModel(NamedTuple):
+    """g(x, .) at one fixed x: value_grad(z) -> (g as a float, grad_y g);
+    hess_parts(z) -> (a, d) as hess_yy_parts, or None, and then hess(z) is
+    the dense Hessian. hess_parts may reuse value_grad's work on the same z."""
+
+    value_grad: Callable[[np.ndarray], tuple]
+    hess_parts: Optional[Callable[[np.ndarray], tuple]]
+    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+def inner_model_at(r: RoundFunctions, x: np.ndarray) -> InnerModel:
+    """r.inner_model(x), else the model calling r's g, grad_y_g and
+    hess_yy_parts or hess_yy_g (quadratic, full-batch, hand-built rounds)."""
+    if r.inner_model is not None:
+        return r.inner_model(x)
+    return InnerModel(
+        lambda z: (float(r.g(x, z)), np.asarray(r.grad_y_g(x, z), dtype=float)),
+        None if r.hess_yy_parts is None else lambda z: r.hess_yy_parts(x, z),
+        lambda z: np.asarray(r.hess_yy_g(x, z), dtype=float),
+    )
 
 
 def dense_hessian(parts: Callable[[np.ndarray, np.ndarray], tuple]):

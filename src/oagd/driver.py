@@ -256,27 +256,39 @@ def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
     Trace rows mark oracle steps with K_t = 0 and alpha_t = 0; the recorded
     hypergradient is the exact one at (x_t, y_{t+1}), kept for diagnostics.
     It is filled after the loop with f_value and inner_residual
-    (_measure_rounds), so wall_nanos time the two closed forms alone.
+    (_measure_rounds), so wall_nanos time the two closed forms alone. A
+    stream with stacked_round plays all rounds in two calls on it (every
+    x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of those.
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
-    for t in range(1, T + 1):
+    if hasattr(stream, "stacked_round"):
         t0 = time.perf_counter_ns()
-        rnd = stream[t - 1]
-        if rnd.closed_form_y_star is None or rnd.closed_form_x_partial is None:
-            raise OracleUnavailable(
-                f"round {t} has no closed-form inner solution or partial minimizer in x"
-            )
-        y_next = np.asarray(rnd.closed_form_y_star(x), dtype=float)
-        x_next = np.asarray(rnd.closed_form_x_partial(y_next), dtype=float)
-        i = t - 1
-        trace.x[i] = x
-        trace.y[i] = y
-        trace.y_after_inner[i] = y_next
-        trace.wall_nanos[i] = time.perf_counter_ns() - t0
-        x, y = x_next, y_next
+        rows = stream.stacked_round(T)
+        x_next = rows.closed_form_x_partial(None)
+        trace.x[0], trace.x[1:] = x, x_next[:-1]
+        trace.y_after_inner[:] = rows.closed_form_y_star(trace.x)
+        trace.y[0], trace.y[1:] = y, trace.y_after_inner[:-1]
+        trace.wall_nanos[:] = (time.perf_counter_ns() - t0) // T
+        x, y = x_next[-1], trace.y_after_inner[-1].copy()
+    else:
+        for t in range(1, T + 1):
+            t0 = time.perf_counter_ns()
+            rnd = stream[t - 1]
+            if rnd.closed_form_y_star is None or rnd.closed_form_x_partial is None:
+                raise OracleUnavailable(
+                    f"round {t} has no closed-form inner solution or partial minimizer in x"
+                )
+            y_next = np.asarray(rnd.closed_form_y_star(x), dtype=float)
+            x_next = np.asarray(rnd.closed_form_x_partial(y_next), dtype=float)
+            i = t - 1
+            trace.x[i] = x
+            trace.y[i] = y
+            trace.y_after_inner[i] = y_next
+            trace.wall_nanos[i] = time.perf_counter_ns() - t0
+            x, y = x_next, y_next
     trace.alpha[:] = 0.0
     trace.beta[:] = 0.0
     trace.K[:] = 0

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DerivedConstants, FeasibleSet, RoundFunctions, project
+from .core import DerivedConstants, FeasibleSet, RoundFunctions, inner_model_at, project
 from .errors import FactorizationFailure, NonFiniteIterate, OracleDiverged
 from .hypergrad import cholesky_solve, sm_solve
 
@@ -96,36 +96,35 @@ def newton_to_tolerance(
     """Damped Newton on g(x, .) until ||grad_y g|| <= tol (oracle use, not
     part of the online algorithm).
 
-    Each iteration takes d = -hess_yy_g^{-1} grad_y g (sm_solve on the
-    round's hess_yy_parts when it has them, else one Cholesky factorization
-    of hess_yy_g) and halves a unit step s until the Armijo condition
+    It reads only the round's inner model at x (core.inner_model_at). Each
+    iteration takes d = -hess_yy_g^{-1} grad_y g (sm_solve on the model's
+    hess_parts, else one Cholesky factorization of its dense hess) and
+    halves a unit step s until the Armijo condition
     g(z + s d) <= g(z) + 1e-4 s grad^T d holds; once that required decrease
     is below float64 resolution of g, strict descent of the gradient norm
     is accepted instead. Raises OracleDiverged, carrying the last residual,
     on a Hessian that is not positive definite, on step collapse, or after
     NEWTON_MAX_ITERS iterations.
     """
-    parts = round_fns.hess_yy_parts
+    model = inner_model_at(round_fns, x)
     z = np.asarray(y_init, dtype=float).copy()
-    val = float(round_fns.g(x, z))
-    grad = np.asarray(round_fns.grad_y_g(x, z), dtype=float)
-    res = float(np.linalg.norm(grad))
+    val, grad = model.value_grad(z)
+    res = math.sqrt(grad.dot(grad))  # np.linalg.norm's bits, without its dispatch
     for _ in range(NEWTON_MAX_ITERS):
         if res <= tol:
             return z
         try:
-            if parts is None:
-                d = -cholesky_solve(np.asarray(round_fns.hess_yy_g(x, z), dtype=float), grad)
+            if model.hess_parts is None:
+                d = -cholesky_solve(model.hess(z), grad)
             else:
-                d = -sm_solve(*parts(x, z), grad)
+                d = -sm_solve(*model.hess_parts(z), grad)
         except FactorizationFailure as exc:
             raise OracleDiverged(f"inner oracle at residual {res:.3e}: {exc}", residual=res) from exc
-        step, unit_drop = 1.0, -1e-4 * float(grad @ d)
+        step, unit_drop = 1.0, -1e-4 * float(grad.dot(d))
         while True:
             cand = z + step * d
-            cval = float(round_fns.g(x, cand))
-            cgrad = np.asarray(round_fns.grad_y_g(x, cand), dtype=float)
-            cres = float(np.linalg.norm(cgrad))
+            cval, cgrad = model.value_grad(cand)
+            cres = math.sqrt(cgrad.dot(cgrad))
             required = step * unit_drop
             if _resolvable(required, val):
                 if math.isfinite(cval) and cval <= val - required:

@@ -49,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ProblemConstants, RoundFunctions, dense_hessian, project
+from .core import (FeasibleSet, InnerModel, ProblemConstants, RoundFunctions, dense_hessian,
+                   project)
 from .errors import DimensionMismatch, StreamExhausted
 from .hypergrad import sm_solve
 from .kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
@@ -279,7 +280,7 @@ def _ridge_diag(x_ridge: np.ndarray, d2: int) -> np.ndarray:
     the ridge block is scalar."""
     c = np.exp(x_ridge)
     if x_ridge.shape[-1] == 1:
-        return np.full(x_ridge.shape[:-1] + (d2,), c)
+        return c.repeat(d2, axis=-1)
     return c
 
 
@@ -326,29 +327,48 @@ class HOStream:
     def __len__(self) -> int:
         return self.A_train.shape[0]
 
-    # per-round pieces, split so the elastic net subclass can extend them
+    # per-x pieces, split so the elastic net subclass can extend them
 
-    def _hess_diag(self, x, y) -> np.ndarray:
-        """Diagonal D of the inner Hessian aa^T + D (sample independent)."""
-        return 2.0 * _ridge_diag(self._ridge_block(x), self.d2)
+    def _penalty_at(self, x) -> tuple:
+        """The penalty's part of g(x, .) at x, x-dependent factors computed
+        once: (root, value, grad, hess_diag), the last three of (z, root(z));
+        root(z) is None for the ridge, whose D in a a^T + D takes x (P, d1)."""
+        c = _ridge_diag(self._ridge_block(x), self.d2)
+        c2 = 2.0 * c
+        return (lambda z: None, lambda z, q: float(c.dot(z * z)),
+                lambda z, q: c2 * z, lambda z, q: c2)
+
+    def _penalty(self, k: int, x, z):
+        """Piece k (1 value, 2 grad, 3 hess_diag) of _penalty_at(x) at z."""
+        pieces = self._penalty_at(x)
+        return pieces[k](z, pieces[0](z))
 
     def _ridge_block(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
-    def _grad_y_g_extra_at(self, x):
-        """y -> the penalty's part of grad_y g(x, y), with its x-dependent
-        factors computed once."""
-        c2 = 2.0 * _ridge_diag(self._ridge_block(x), self.d2)
-        return lambda y: c2 * y
-
-    def _grad_y_g_at(self, i: int, x):
-        """z -> grad_y g(x, z) of round index i, for a fixed x."""
+    def _round_at(self, i: int, x, model: bool = True):
+        """Round index i's g(x, .) at x as an InnerModel, which computes
+        a^T z - b and root(z) once for g and grad (and again only at a new
+        array z), or with model=False grad(z) alone: the follower's step."""
         a, b = self.A_train[i], float(self.b_train[i])
-        extra = self._grad_y_g_extra_at(x)
-        return lambda z: a * (a @ z - b) + extra(z)
+        root, value, penalty_grad, hess_diag = self._penalty_at(x)
 
-    def _g_extra(self, x, y) -> float:
-        return float(_ridge_diag(self._ridge_block(x), self.d2) @ (y * y))
+        def grad(z, r, q):
+            return a * r + penalty_grad(z, q)
+
+        if not model:
+            return lambda z: grad(z, a.dot(z) - b, root(z))
+        last = [None, None]
+
+        def value_grad(z):
+            r, q = float(a.dot(z)) - b, root(z)
+            last[:] = z, q
+            return 0.5 * r ** 2 + value(z, q), grad(z, r, q)
+
+        def hess_parts(z):
+            return a, hess_diag(z, last[1] if last[0] is z else root(z))
+
+        return InnerModel(value_grad, hess_parts)
 
     def _apply_neg_jac(self, x, y, v) -> np.ndarray:
         """-jac_xy_g(x, y) @ v without forming the Jacobian."""
@@ -365,44 +385,31 @@ class HOStream:
             return (2.0 * c * y)[None, :]
         return np.diag(2.0 * c * y)
 
-    def _closed_form_y_star(self, i: int):
-        """x -> y*(x), the solution of (D + a a^T) y = b a, over the last
-        axis of x: one point (d1,) or a batch (P, d1)."""
-        a = self.A_train[i]
-        rhs = self.b_train[i] * a
-        return lambda x: sm_solve(a, self._hess_diag(x, None), rhs)
-
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
             raise IndexError(i)
         rnd = self._cache.get(i)
         if rnd is not None:
             return rnd
-        a, b = self.A_train[i], float(self.b_train[i])
         av, bv = self.A_val[i], float(self.b_val[i])
-
-        def f(x, y):
-            return 0.5 * (av @ y - bv) ** 2
-
-        def g(x, y):
-            return 0.5 * (a @ y - b) ** 2 + self._g_extra(x, y)
-
-        def grad_y_g(x, y):
-            return self._grad_y_g_at(i, x)(y)
+        a, rhs = self.A_train[i], self.b_train[i] * self.A_train[i]
 
         def hess_yy_parts(x, y):
-            return a, self._hess_diag(x, y)
+            return a, self._penalty(3, x, y)
 
         rnd = RoundFunctions(
-            f=f,
-            g=g,
+            f=lambda x, y: 0.5 * (av @ y - bv) ** 2,
+            g=lambda x, y: self._round_at(i, x).value_grad(y)[0],
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: av * (av @ y - bv),
-            grad_y_g=grad_y_g,
+            grad_y_g=lambda x, y: self._round_at(i, x, False)(y),
             jac_xy_g=lambda x, y: self._jac_xy(x, y),
             hess_yy_g=dense_hessian(hess_yy_parts),
             hess_yy_parts=hess_yy_parts,
-            closed_form_y_star=self._closed_form_y_star(i),
+            inner_model=lambda x: self._round_at(i, x),
+            # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
+            closed_form_y_star=None if self.smoothing else (
+                lambda x: sm_solve(a, self._penalty(3, x, None), rhs)),
             label=f"{'elastic_net' if self.smoothing else 'ho'} t={i + 1}",
         )
         self._cache[i] = rnd
@@ -418,12 +425,12 @@ class HOStream:
         AtA = A.T @ A / n
         return RoundFunctions(
             f=lambda x, y: 0.0,
-            g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._g_extra(x, y)),
+            g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._penalty(1, x, y)),
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: np.zeros(self.d2),
-            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._grad_y_g_extra_at(x)(y),
+            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._penalty(2, x, y),
             jac_xy_g=self._jac_xy,
-            hess_yy_g=lambda x, y: AtA + np.diag(self._hess_diag(x, y)),
+            hess_yy_g=lambda x, y: AtA + np.diag(self._penalty(3, x, y)),
             label="full batch",
         )
 
@@ -433,7 +440,7 @@ class HOStream:
         without rebuilding exp(x) at every step. y is not modified."""
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
-        grad = self._grad_y_g_at(t - 1, x)
+        grad = self._round_at(t - 1, x, False)
         z = np.asarray(y, dtype=float).copy()
         for _ in range(K):
             z -= beta * grad(z)
@@ -448,7 +455,7 @@ class HOStream:
         y = np.asarray(y, dtype=float)
         m = min(window.w, t)
         rows = slice(len(self) - t, len(self) - t + m)
-        d_inv = 1.0 / self._hess_diag(x, y)
+        d_inv = 1.0 / self._penalty(3, x, y)
         acc = sm_window_accumulate(
             self._A_train_rev[rows],
             self._A_val_rev[rows],
@@ -493,21 +500,14 @@ class ElasticNetStream(HOStream):
     def _smooth_block(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)[: self.d2]
 
-    def _hess_diag(self, x, y) -> np.ndarray:
-        base = super()._hess_diag(x, y)
+    def _penalty_at(self, x) -> tuple:
+        _, value, grad, hess_diag = super()._penalty_at(x)
         s = np.exp(self._smooth_block(x))
-        root = np.sqrt(y * y + self.mu**2)
-        return base + s * self.mu**2 / root**3
-
-    def _grad_y_g_extra_at(self, x):
-        ridge = super()._grad_y_g_extra_at(x)
-        s = np.exp(self._smooth_block(x))
-        mu2 = self.mu**2
-        return lambda y: ridge(y) + s * y / np.sqrt(y * y + mu2)
-
-    def _g_extra(self, x, y) -> float:
-        s = np.exp(self._smooth_block(x))
-        return super()._g_extra(x, y) + float(s @ np.sqrt(y * y + self.mu**2))
+        mu2, s_mu2 = self.mu**2, s * self.mu**2
+        return (lambda z: np.sqrt(z * z + mu2),
+                lambda z, q: value(z, q) + float(s.dot(q)),
+                lambda z, q: grad(z, q) + s * z / q,
+                lambda z, q: hess_diag(z, q) + s_mu2 / q**3)
 
     def _apply_neg_jac(self, x, y, v) -> np.ndarray:
         s = np.exp(self._smooth_block(x))
@@ -518,9 +518,6 @@ class ElasticNetStream(HOStream):
         s = np.exp(self._smooth_block(x))
         top = np.diag(s * y / np.sqrt(y * y + self.mu**2))
         return np.vstack([top, super()._jac_xy(x, y)])
-
-    def _closed_form_y_star(self, i: int):
-        return None  # the smoothed penalty has no closed-form minimizer
 
 
 def _round_tables(dataset, T: int):

@@ -587,6 +587,28 @@ def test_quadratic_dynamic_reproduces_committed_results(tmp_path, monkeypatch):
         assert key == "config.output" or _same_value(a, b), (key, a, b)
 
 
+
+def test_enet_oracle_comparator_chain_matches_benchmark_reference(monkeypatch):
+    """The benchmark's enet-oracle config, run in process without writing,
+    reproduces its stored report values within the config's oracle_tol
+    (|a - b| <= tol max(1, |b|)). Its comparators come from warm-started
+    numerical solves on a nonconvex stream, so a change that moves a
+    stationary point (cold starts, batched or spectral steps) shows here."""
+    import json
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    cfg = parse_config(root / "perfbench" / "configs" / "enet-oracle.cfg")
+    ref = json.loads((root / "perfbench" / "reference.json").read_text())["enet-oracle"]["0"]
+    with pytest.warns(NonConvexFlag):
+        _, _, meta = run_experiment(cfg, write=False)
+    got = dict(line.split(" = ", 1) for line in meta)
+    for key in ("report.bd_final", "report.p1", "report.y1", "report.comparator_grad_sum",
+                "test_error"):
+        want = ref["values"][key]
+        assert abs(float(got[key]) - want) <= cfg.oracle_tol * max(1.0, abs(want)), key
+
+
 _NUMPY_ONLY_RUN = """
 import sys
 from pathlib import Path

@@ -237,6 +237,24 @@ def test_full_info_plays_previous_round_solutions():
     assert np.all(tr.alpha == 0.0)
 
 
+
+def test_full_info_stacked_matches_round_by_round():
+    """On a quadratic stream full_info_run plays every round from its
+    stacked round in two calls; every trace array but wall_nanos, and the
+    final pair, equal bit for bit those of the same rounds played one by
+    one (a list of rounds has no stacked_round). wall_nanos splits the two
+    calls' time evenly over the rows."""
+    for fset in (FeasibleSet.symmetric_box(1.0, 1), FeasibleSet.ball(np.zeros(1), 0.3)):
+        stream = quadratic_stream("alt_sqrt", T=300, fset=fset)
+        init = DecisionPair(x=np.array([0.25]), y=np.array([-0.6]))
+        tr = full_info_run(stream, init, T=300)
+        ref = full_info_run([stream[t] for t in range(300)], init, T=300)
+        for name in ("x", "y", "y_after_inner", "hypergrad", "alpha", "beta", "K",
+                     "f_value", "inner_residual", "final_x", "final_y"):
+            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+        assert np.all(tr.wall_nanos == tr.wall_nanos[0]) and tr.wall_nanos[0] >= 0
+
+
 def test_full_info_stationary_stream_settles():
     """On a constant stream x stops moving after round 1 and y after round
     2 (y_3 is the exact response to the settled x_2)."""

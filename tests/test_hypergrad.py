@@ -108,17 +108,29 @@ def test_sm_solve_matches_dense_cholesky():
         assert np.linalg.norm(hg - dense_hg) <= 1e-12 * np.linalg.norm(dense_hg)
 
 
+def _hess_diag(stream, x, y):
+    """The regression family's inner Hessian diagonal D, written out:
+    2 exp(x_ridge) (one weight broadcast over d2 when the ridge block is
+    scalar), plus exp(x_smooth) mu^2 / (y^2 + mu^2)^(3/2) on the elastic
+    net."""
+    d2 = stream.d2
+    diag = 2.0 * np.broadcast_to(np.exp(x[d2:] if stream.smoothing else x), (d2,))
+    if stream.smoothing:
+        diag = diag + np.exp(x[:d2]) * stream.mu**2 / np.sqrt(y * y + stream.mu**2) ** 3
+    return diag
+
+
 def test_dense_hessian_built_from_parts():
     """The dense hess_yy_g built from the parts is, bit for bit, the
     regression round's np.outer(a, a) + np.diag(D) with a its training row
-    and D the stream's diagonal, and the quadratic round's [[1]]."""
+    and D the family's diagonal, and the quadratic round's [[1]]."""
     for stream, x, y in _structured_rounds():
         a = stream.A_train[3]
-        expected = np.outer(a, a) + np.diag(stream._hess_diag(x, y))
+        expected = np.outer(a, a) + np.diag(_hess_diag(stream, x, y))
         assert np.array_equal(stream[3].hess_yy_g(x, y), expected)
         parts = stream[3].hess_yy_parts(x, y)
         assert np.array_equal(parts[0], a)
-        assert np.array_equal(parts[1], stream._hess_diag(x, y))
+        assert np.array_equal(parts[1], _hess_diag(stream, x, y))
     quad = quadratic_round(0.3, -0.4)
     assert np.array_equal(quad.hess_yy_g(np.array([0.2]), np.array([0.5])), [[1.0]])
 
@@ -132,8 +144,11 @@ def test_sm_solve_rejects_nonpositive_diagonal():
             sm_solve(a, np.array([1.0, bad]), np.ones(2))
     stream, x, y = _structured_rounds()[0]
     rnd = stream[3]
-    a, d = rnd.hess_yy_parts(x, y)
-    broken = dataclasses.replace(rnd, hess_yy_parts=lambda x, y: (a, -d))
+    model = rnd.inner_model(x)
+    a, d = model.hess_parts(y)
+    # the Hessian handle Newton reads: the round's inner model
+    broken = dataclasses.replace(
+        rnd, inner_model=lambda x: model._replace(hess_parts=lambda z: (a, -d)))
     with pytest.raises(OracleDiverged, match="not finite and positive"):
         newton_to_tolerance(broken, x, y, tol=1e-12)
 

@@ -184,21 +184,53 @@ def test_newton_to_tolerance_matches_ridge_closed_form():
 
 def test_newton_to_tolerance_elastic_net_gradient_budget():
     """On smoothed elastic net rounds Newton reaches ||grad|| <= 1e-12 from
-    zeros in at most 50 gradient evaluations."""
+    zeros in at most 50 gradient evaluations (calls of its inner model's
+    value_grad)."""
     rng = np.random.default_rng(9)
     stream = ElasticNetStream(*_regression_tables(5, seed=3), mu_smooth=0.1, d1=10)
     for t in range(6):
         x = rng.uniform(-2.0, 2.0, size=10)
         calls = []
 
-        def grad(x, y, rnd=stream[t]):
-            calls.append(1)
-            return rnd.grad_y_g(x, y)
+        def model(x, rnd=stream[t]):
+            m = rnd.inner_model(x)
 
-        rnd = dataclasses.replace(stream[t], grad_y_g=grad)
+            def value_grad(z):
+                calls.append(1)
+                return m.value_grad(z)
+
+            return m._replace(value_grad=value_grad)
+
+        rnd = dataclasses.replace(stream[t], inner_model=model)
         out = newton_to_tolerance(rnd, x, np.zeros(5), tol=1e-12)
         assert np.linalg.norm(stream[t].grad_y_g(x, out)) <= 1e-12
         assert len(calls) <= 50
+
+
+
+def test_inner_model_matches_generic_adapter_bit_for_bit():
+    """A regression round's own inner model and the generic adapter (the
+    same round with inner_model removed, read through g, grad_y_g and
+    hess_yy_parts) give np.array_equal Newton solves, on HOStream with
+    d1 = 1 and d1 = d2 and ElasticNetStream with d1 = d2 + 1 and 2 d2, at
+    random (x, y). One fused follower step equals z - beta value_grad(z)[1]
+    bit for bit."""
+    rng = np.random.default_rng(57)
+    d2 = 5
+    tables = _regression_tables(d2, seed=11)
+    streams = [HOStream(*tables, d1=1), HOStream(*tables, d1=d2),
+               ElasticNetStream(*tables, mu_smooth=0.5, d1=d2 + 1),
+               ElasticNetStream(*tables, mu_smooth=0.5, d1=2 * d2)]
+    for stream in streams:
+        for t in (0, 4):
+            rnd = stream[t]
+            generic = dataclasses.replace(rnd, inner_model=None)
+            for _ in range(3):
+                x, y = rng.uniform(-1.5, 1.5, size=stream.d1), rng.normal(size=d2)
+                out = newton_to_tolerance(rnd, x, y, tol=1e-12)
+                assert np.array_equal(out, newton_to_tolerance(generic, x, y, tol=1e-12))
+                step = stream.inner_steps(t + 1, x, y, 0.05, 1)
+                assert np.array_equal(step, y - 0.05 * rnd.inner_model(x).value_grad(y)[1])
 
 
 def test_pgd_to_stationarity_projected_minimum():
