@@ -1,5 +1,7 @@
 """Experiment runner: flat key=value configs, CSV datasets with
-deterministic three-way splits, per-round CSV output, and window sweeps.
+deterministic three-way splits, per-round CSV output, and window sweeps,
+run one after another in one process on one prepared stream and one
+comparator series.
 
 Commands:
     oagd run --config exp.cfg
@@ -15,7 +17,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -290,6 +291,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("synthetic problem needs d2")
     if cfg.set_kind and cfg.set_kind not in ("box", "ball", "unbounded"):
         raise ConfigError(f"set_kind must be box, ball, or unbounded, got {cfg.set_kind!r}")
+    if cfg.h_samples < 1:
+        raise ConfigError(f"h_samples must be a positive integer, got {cfg.h_samples}")
+    if not cfg.oracle_tol > 0:
+        raise ConfigError(f"oracle_tol must be positive, got {cfg.oracle_tol:g}")
     if cfg.baseline not in _BASELINES:
         raise ConfigError(f"baseline must be one of {_BASELINES}, got {cfg.baseline!r}")
     if cfg.baseline == "full_info" and cfg.problem != "quadratic":
@@ -465,18 +470,23 @@ def _initial_pair(cfg: ExperimentConfig, prep: _Prepared) -> DecisionPair:
     return DecisionPair(x=x, y=y)
 
 
-def _set_up(cfg: ExperimentConfig):
-    """What `validate` checks and `run` builds on: the prepared stream, the
-    window, the schedules and the initial pair. A value the library rejects
-    on the way (ValueError) is a config mistake."""
+def _set_up(cfg: ExperimentConfig, windows: tuple = (None,)) -> list:
+    """What `validate` checks and `run` and `sweep` build on: the stream,
+    prepared once, then per window (None: the config's own) its config,
+    prepared stream with its own notes, window, schedules and initial pair.
+    A value the library rejects on the way (ValueError) is a config mistake."""
     try:
-        prep = prepare(cfg)
-        window = make_weights(cfg.window_kind, cfg.resolved_window(), gamma=cfg.window_gamma)
-        steps, inner, derived = build_schedules(cfg, prep, window)
-        init = _initial_pair(cfg, prep)
+        shared = prepare(cfg)
+        runs = []
+        for w in windows:
+            sub = cfg if w is None else replace(cfg, window_w=w, output=f"{cfg.output}_w{w}")
+            prep = replace(shared, notes=list(shared.notes))
+            window = make_weights(sub.window_kind, sub.resolved_window(), gamma=sub.window_gamma)
+            steps, inner, derived = build_schedules(sub, prep, window)
+            runs.append((sub, prep, window, steps, inner, derived, _initial_pair(sub, prep)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return prep, window, steps, inner, derived, init
+    return runs
 
 
 def _write_csv(path: Path, trace: Trace, report: RegretReport):
@@ -585,59 +595,54 @@ def test_error(prep: _Prepared, x_final: np.ndarray) -> float:
     return float(np.mean((A_te @ y_hat - b_te) ** 2))
 
 
+def _run(base: ExperimentConfig, windows: tuple, write: bool):
+    """Yield (trace, report, meta lines) per window, one after another,
+    all measured against one comparator series, solved after the first
+    window's loop so that a loop that fails does so before the oracle."""
+    if write and not base.output:
+        raise ConfigError("the config has no output path")
+    comparators = None
+    for cfg, prep, window, steps, inner, derived, init in _set_up(base, windows):
+        trace = oagd_run(prep.stream, init, prep.fset, window, steps, inner,
+                         cfg.T, constants=derived)
+        if comparators is None:
+            comparators = comparator_series(
+                prep.stream, prep.fset, T=cfg.T, tol=cfg.oracle_tol,
+                convex=cfg.regime != "nonconvex",
+                include_static=cfg.report_static,
+            )
+        report = compute_report(trace, prep.stream, prep.fset, window, comparators,
+                                h_samples=cfg.h_samples, include_local=cfg.report_local,
+                                include_h=cfg.report_h)
+        meta = _meta_lines(cfg, prep, window, steps, inner, derived, trace, report)
+        if prep.dataset is not None:
+            meta.append(f"test_error = {test_error(prep, trace.final_x)!r}")
+        if cfg.baseline == "full_info":
+            base_trace = full_info_run(prep.stream, init, cfg.T)
+            # the baseline's H_T is never reported, and it costs a full h_estimate
+            base_report = compute_report(base_trace, prep.stream, prep.fset, window, comparators,
+                                         include_local=cfg.report_local, include_h=False)
+            meta.append(f"baseline.bd_final = {_final(base_report.bd_regret)!r}")
+        if write:
+            Path(cfg.output).parent.mkdir(parents=True, exist_ok=True)
+            if cfg.baseline == "full_info":
+                _write_csv(Path(cfg.output + ".baseline.csv"), base_trace, base_report)
+            _write_csv(Path(cfg.output + ".csv"), trace, report)
+            Path(cfg.output + ".meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+        yield trace, report, meta
+
+
 def run_experiment(cfg: ExperimentConfig, write: bool = True):
     """Execute one configured run; returns (trace, report, meta lines)."""
-    prep, window, steps, inner, derived, init = _set_up(cfg)
-    trace = oagd_run(prep.stream, init, prep.fset, window, steps, inner,
-                     cfg.T, constants=derived)
-    comparators = comparator_series(
-        prep.stream, prep.fset, T=cfg.T, tol=cfg.oracle_tol,
-        convex=cfg.regime != "nonconvex",
-        include_static=cfg.report_static,
-    )
-    report = compute_report(trace, prep.stream, prep.fset, window, comparators,
-                            h_samples=cfg.h_samples, include_local=cfg.report_local,
-                            include_h=cfg.report_h)
-    meta = _meta_lines(cfg, prep, window, steps, inner, derived, trace, report)
-    if prep.dataset is not None:
-        meta.append(f"test_error = {test_error(prep, trace.final_x)!r}")
-    if write and not cfg.output:
-        raise ConfigError("run needs an output path")
-    if write:
-        out = Path(cfg.output)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-    if cfg.baseline == "full_info":
-        base_trace = full_info_run(prep.stream, init, cfg.T)
-        # the baseline's H_T is never reported, and it costs a full h_estimate
-        base_report = compute_report(base_trace, prep.stream, prep.fset, window, comparators,
-                                     include_local=cfg.report_local, include_h=False)
-        meta.append(f"baseline.bd_final = {_final(base_report.bd_regret)!r}")
-        if write:
-            _write_csv(Path(cfg.output + ".baseline.csv"), base_trace, base_report)
-    if write:
-        _write_csv(Path(cfg.output + ".csv"), trace, report)
-        Path(cfg.output + ".meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
-    return trace, report, meta
-
-
-def _sweep_one(args):
-    cfg, w = args
-    sub = replace(cfg, window_w=w, output=f"{cfg.output}_w{w}")
-    run_experiment(sub)
-    return sub.output
+    return next(_run(cfg, (None,), write))
 
 
 def sweep(cfg: ExperimentConfig, windows: list) -> list:
-    """Run one experiment per window size concurrently; returns outputs."""
-    if not cfg.output:
-        raise ConfigError("sweep needs an output path")
-    jobs = [(cfg, w) for w in windows]
-    outputs = []
-    with ProcessPoolExecutor() as pool:
-        for out in pool.map(_sweep_one, jobs):
-            outputs.append(out)
-    return outputs
+    """Run one experiment per window size, one after another, on one
+    prepared stream and one comparator series; returns the output paths."""
+    for _ in _run(cfg, tuple(windows), write=True):
+        pass
+    return [f"{cfg.output}_w{w}" for w in windows]
 
 
 def _parse_windows(text: str) -> list:
@@ -668,15 +673,10 @@ def main(argv=None) -> int:
             run_experiment(cfg)
             print(f"wrote {cfg.output}.csv")
             return 0
-        outputs = sweep(cfg, _parse_windows(args.windows))
-        for out in outputs:
+        for out in sweep(cfg, _parse_windows(args.windows)):
             print(f"wrote {out}.csv")
         return 0
-    except OagdError as exc:
-        print(f"error_category={type(exc).__name__}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OagdError, OSError) as exc:
         print(f"error_category={type(exc).__name__}", file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 1

@@ -241,6 +241,8 @@ class InnerSchedule:
             raise ValueError("custom schedule needs a callable")
         if self.c is not None and self.c <= 0:
             raise ValueError("c must be positive")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
     @staticmethod
     def theorem_beta(ell_g1: float, mu_g: float) -> float:

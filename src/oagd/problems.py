@@ -331,15 +331,18 @@ class HOStream:
 
     def _penalty_at(self, x) -> tuple:
         """The penalty's part of g(x, .) at x, x-dependent factors computed
-        once: (root, value, grad, hess_diag), the last three of (z, root(z));
-        root(z) is None for the ridge, whose D in a a^T + D takes x (P, d1)."""
+        once: (root, value, grad, hess_diag, jac), the last four of (z,
+        root(z)); root(z) is None for the ridge, whose D in a a^T + D takes
+        x (P, d1). jac is jac_xy_g's block diagonals in x's order (a scalar
+        ridge weight's one row): exp(x) scales each block's penalty term,
+        so each is that block's term of grad."""
         c = _ridge_diag(self._ridge_block(x), self.d2)
         c2 = 2.0 * c
         return (lambda z: None, lambda z, q: float(c.dot(z * z)),
-                lambda z, q: c2 * z, lambda z, q: c2)
+                lambda z, q: c2 * z, lambda z, q: c2, lambda z, q: [c2 * z])
 
     def _penalty(self, k: int, x, z):
-        """Piece k (1 value, 2 grad, 3 hess_diag) of _penalty_at(x) at z."""
+        """Piece k (1 value, 2 grad, 3 hess_diag, 4 jac) of _penalty_at(x) at z."""
         pieces = self._penalty_at(x)
         return pieces[k](z, pieces[0](z))
 
@@ -351,7 +354,7 @@ class HOStream:
         a^T z - b and root(z) once for g and grad (and again only at a new
         array z), or with model=False grad(z) alone: the follower's step."""
         a, b = self.A_train[i], float(self.b_train[i])
-        root, value, penalty_grad, hess_diag = self._penalty_at(x)
+        root, value, penalty_grad, hess_diag, _ = self._penalty_at(x)
 
         def grad(z, r, q):
             return a * r + penalty_grad(z, q)
@@ -370,20 +373,10 @@ class HOStream:
 
         return InnerModel(value_grad, hess_parts)
 
-    def _apply_neg_jac(self, x, y, v) -> np.ndarray:
-        """-jac_xy_g(x, y) @ v without forming the Jacobian."""
-        ridge = self._ridge_block(x)
-        c = _ridge_diag(ridge, self.d2)
-        if ridge.shape[0] == 1:
-            return np.array([-2.0 * float((c * y) @ v)])
-        return -2.0 * c * y * v
-
     def _jac_xy(self, x, y) -> np.ndarray:
-        ridge = self._ridge_block(x)
-        c = _ridge_diag(ridge, self.d2)
-        if ridge.shape[0] == 1:
-            return (2.0 * c * y)[None, :]
-        return np.diag(2.0 * c * y)
+        *blocks, ridge = self._penalty(4, x, y)
+        ridge_rows = ridge[None, :] if self._ridge_block(x).shape[0] == 1 else np.diag(ridge)
+        return np.vstack([np.diag(j) for j in blocks] + [ridge_rows])
 
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
@@ -455,7 +448,9 @@ class HOStream:
         y = np.asarray(y, dtype=float)
         m = min(window.w, t)
         rows = slice(len(self) - t, len(self) - t + m)
-        d_inv = 1.0 / self._penalty(3, x, y)
+        root, _, _, hess_diag, jac = self._penalty_at(x)
+        q = root(y)
+        d_inv = 1.0 / hess_diag(y, q)
         acc = sm_window_accumulate(
             self._A_train_rev[rows],
             self._A_val_rev[rows],
@@ -465,7 +460,10 @@ class HOStream:
             window.u[:m],
             self._window_work,
         )
-        return self._apply_neg_jac(x, y, acc) / window.W
+        # -jac_xy_g(x, y) @ acc without forming the Jacobian
+        *blocks, ridge = jac(y, q)
+        ridge_rows = [-float(ridge @ acc)] if self._ridge_block(x).shape[0] == 1 else -(ridge * acc)
+        return np.concatenate([-(j * acc) for j in blocks] + [ridge_rows]) / window.W
 
 
 class ElasticNetStream(HOStream):
@@ -501,23 +499,18 @@ class ElasticNetStream(HOStream):
         return np.asarray(x, dtype=float)[: self.d2]
 
     def _penalty_at(self, x) -> tuple:
-        _, value, grad, hess_diag = super()._penalty_at(x)
+        _, value, grad, hess_diag, jac = super()._penalty_at(x)
         s = np.exp(self._smooth_block(x))
         mu2, s_mu2 = self.mu**2, s * self.mu**2
+
+        def smooth_grad(z, q):
+            return s * z / q
+
         return (lambda z: np.sqrt(z * z + mu2),
                 lambda z, q: value(z, q) + float(s.dot(q)),
-                lambda z, q: grad(z, q) + s * z / q,
-                lambda z, q: hess_diag(z, q) + s_mu2 / q**3)
-
-    def _apply_neg_jac(self, x, y, v) -> np.ndarray:
-        s = np.exp(self._smooth_block(x))
-        smooth_rows = -s * y / np.sqrt(y * y + self.mu**2) * v
-        return np.concatenate([smooth_rows, super()._apply_neg_jac(x, y, v)])
-
-    def _jac_xy(self, x, y) -> np.ndarray:
-        s = np.exp(self._smooth_block(x))
-        top = np.diag(s * y / np.sqrt(y * y + self.mu**2))
-        return np.vstack([top, super()._jac_xy(x, y)])
+                lambda z, q: grad(z, q) + smooth_grad(z, q),
+                lambda z, q: hess_diag(z, q) + s_mu2 / q**3,
+                lambda z, q: [smooth_grad(z, q)] + jac(z, q))
 
 
 def _round_tables(dataset, T: int):

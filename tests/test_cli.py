@@ -169,6 +169,10 @@ def test_validate_config_errors():
         dict(problem="elastic_net", dataset="x.csv"),
         dict(problem="synthetic"),
         dict(set_kind="simplex"),
+        dict(h_samples=0),
+        dict(h_samples=-3),
+        dict(oracle_tol=0.0),
+        dict(oracle_tol=-1.0),
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
@@ -204,6 +208,9 @@ def test_validate_config_rejects_silent_baselines(tmp_path, capsys):
     "quad_a1_mode = half",
     "window_kind = exponential\nwindow_gamma = 1.5",
     "K = 0",
+    "k_max = 0",
+    "h_samples = 0",
+    "oracle_tol = -1",
     "set_kind = box\nset_lower = 1.0\nset_upper = -1.0",
     "set_kind = ball\nset_radius = 0",
     "problem = synthetic\nd2 = 2\nx_low = 5\nx_high = 0",
@@ -239,10 +246,10 @@ def test_beta_past_contraction_bound_rejected(tmp_path, capsys):
 def test_initial_pair_from_config():
     """init_x and init_y are comma-separated vectors; without them x is
     the projection of 0 and y is 0."""
-    init = _set_up(_base_cfg(init_x="0.5,", init_y=" -0.25"))[-1]
+    init = _set_up(_base_cfg(init_x="0.5,", init_y=" -0.25"))[0][-1]
     np.testing.assert_array_equal(init.x, [0.5])
     np.testing.assert_array_equal(init.y, [-0.25])
-    init = _set_up(_base_cfg(set_kind="box", set_lower="0.2", set_upper="0.9"))[-1]
+    init = _set_up(_base_cfg(set_kind="box", set_lower="0.2", set_upper="0.9"))[0][-1]
     np.testing.assert_array_equal(init.x, [0.2])
     np.testing.assert_array_equal(init.y, [0.0])
 
@@ -439,25 +446,7 @@ def test_main_missing_file_reports_oserror(tmp_path, capsys):
     assert "error_category=FileNotFoundError" in err
 
 
-def test_sweep_writes_one_output_per_window(tmp_path):
-    path = _write(tmp_path / "c.cfg", QUAD_CFG.format(out=tmp_path / "sw"))
-    assert main(["sweep", "--config", path, "--windows", "1,2,T"]) == 0
-    for suffix in ("w1", "w2", "wT"):
-        assert (tmp_path / f"sw_{suffix}.csv").exists()
-        assert (tmp_path / f"sw_{suffix}.meta.txt").exists()
-    # the window column of the meta reflects the override
-    meta = (tmp_path / "sw_wT.meta.txt").read_text(encoding="utf-8")
-    assert "config.window_w = T" in meta
-
-
-def test_run_without_output_rejected():
-    cfg = _base_cfg(output="")
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
-
-
-def test_synthetic_problem_end_to_end(tmp_path):
-    text = """
+SYN_CFG = """
 problem = synthetic
 T = 12
 regime = convex_static
@@ -473,8 +462,66 @@ seed = 2
 set_kind = box
 set_half_width = 2.0
 output = {out}
-""".format(out=tmp_path / "syn")
-    cfg = parse_config(_write(tmp_path / "c.cfg", text))
+"""
+
+
+def _without_wall_times(path: Path) -> list:
+    """A written CSV's rows without wall_nanos, or a meta file's lines
+    without config.output."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            skip = CSV_COLUMNS.index("wall_nanos")
+            return [row[:skip] + row[skip + 1:] for row in csv.reader(fh)]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if not line.startswith("config.output = ")]
+
+
+def test_sweep_writes_one_output_per_window(tmp_path):
+    """Every file a sweep writes for a window equals what a standalone run
+    at that window writes, except wall_nanos and config.output: each
+    window keeps its own override notes, and sharing the prepared stream
+    (its round cache and kernel workspace) and the comparator series
+    changes nothing."""
+    for name, text in (("quad", QUAD_CFG + "baseline = full_info\n"), ("syn", SYN_CFG)):
+        path = _write(tmp_path / f"{name}.cfg", text.format(out=tmp_path / name / "sw"))
+        assert main(["sweep", "--config", path, "--windows", "1,2,T"]) == 0
+        cfg = parse_config(path)
+        for w in ("1", "2", "T"):
+            solo = tmp_path / name / f"solo_{w}"
+            run_experiment(dataclasses.replace(cfg, window_w=w, output=str(solo)))
+            files = sorted(solo.parent.glob(f"solo_{w}.*"))
+            assert len(files) == (3 if cfg.baseline == "full_info" else 2)
+            for file in files:
+                swept = file.with_name(file.name.replace(f"solo_{w}", f"sw_w{w}"))
+                assert _without_wall_times(swept) == _without_wall_times(file), swept
+        meta = (tmp_path / name / "sw_wT.meta.txt").read_text(encoding="utf-8")
+        assert "config.window_w = T" in meta
+        assert f"config.output = {tmp_path / name / 'sw_wT'}" in meta
+        assert meta.count("note = alpha = ") == 1
+
+
+def test_sweep_reports_errors_as_run_does(tmp_path, capsys):
+    """A sweep on a stream too short for T prints the error run prints."""
+    dataset = Path(__file__).resolve().parents[1] / "data" / "regression_300.csv"
+    path = _write(tmp_path / "c.cfg", f"problem = ho\ndataset = {dataset}\nT = 101\n"
+                  f"regime = convex_static\nalpha = 0.05\nK = 5\noutput = {tmp_path / 'ho'}\n")
+    assert main(["run", "--config", path]) == 1
+    run_err = capsys.readouterr().err
+    assert main(["sweep", "--config", path, "--windows", "1,T"]) == 1
+    assert capsys.readouterr().err == run_err == (
+        "error_category=StreamExhausted\n"
+        "stream exhausted at round 101 (only 100 rounds available)\n"
+    )
+
+
+def test_run_without_output_rejected():
+    cfg = _base_cfg(output="")
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+
+
+def test_synthetic_problem_end_to_end(tmp_path):
+    cfg = parse_config(_write(tmp_path / "c.cfg", SYN_CFG.format(out=tmp_path / "syn")))
     trace, report, meta = run_experiment(cfg)
     assert trace.T == 12
     assert np.all(np.isfinite(trace.f_value))
@@ -555,37 +602,48 @@ def _same_value(got: str, ref: str) -> bool:
                or (math.isnan(a) and math.isnan(b)) for a, b in pairs)
 
 
-def test_quadratic_dynamic_reproduces_committed_results(tmp_path, monkeypatch):
-    """Rerunning configs/quadratic_dynamic.cfg reproduces the committed
-    results/quadratic_dynamic.{csv,baseline.csv,meta.txt}: every integer
+def _assert_reproduces(out: str, ref: Path, suffixes):
+    """Files out + suffix equal the committed ref + suffix: every integer
     and text value exactly, every float within 1e-12 relative. Only
     wall_nanos and config.output may differ."""
-    root = Path(__file__).resolve().parents[1]
-    monkeypatch.chdir(root)
-    cfg = parse_config(root / "configs" / "quadratic_dynamic.cfg")
-    cfg.output = str(tmp_path / "quadratic_dynamic")
-    run_experiment(cfg)
-    for suffix in (".csv", ".baseline.csv"):
-        with open(cfg.output + suffix, newline="", encoding="utf-8") as fh:
+    for suffix in suffixes:
+        with open(out + suffix, newline="", encoding="utf-8") as fh:
             got = list(csv.reader(fh))
-        with open(root / "results" / f"quadratic_dynamic{suffix}", newline="",
-                  encoding="utf-8") as fh:
-            ref = list(csv.reader(fh))
-        assert got[0] == ref[0] == CSV_COLUMNS
-        assert len(got) == len(ref) == cfg.T + 1
+        with open(f"{ref}{suffix}", newline="", encoding="utf-8") as fh:
+            want = list(csv.reader(fh))
+        assert got[0] == want[0] == CSV_COLUMNS
+        assert len(got) == len(want)
         skip = CSV_COLUMNS.index("wall_nanos")
-        for g_row, r_row in zip(got[1:], ref[1:]):
+        for g_row, r_row in zip(got[1:], want[1:]):
             for j, (a, b) in enumerate(zip(g_row, r_row, strict=True)):
                 assert j == skip or _same_value(a, b), (suffix, g_row[0], CSV_COLUMNS[j], a, b)
-    got = Path(cfg.output + ".meta.txt").read_text(encoding="utf-8").splitlines()
-    ref = (root / "results" / "quadratic_dynamic.meta.txt").read_text(encoding="utf-8").splitlines()
-    assert len(got) == len(ref)
-    for g_line, r_line in zip(got, ref):
+    got = Path(out + ".meta.txt").read_text(encoding="utf-8").splitlines()
+    want = Path(f"{ref}.meta.txt").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    for g_line, r_line in zip(got, want):
         key, _, a = g_line.partition(" = ")
         ref_key, _, b = r_line.partition(" = ")
         assert key == ref_key
         assert key == "config.output" or _same_value(a, b), (key, a, b)
 
+
+def test_quadratic_dynamic_reproduces_committed_results(tmp_path, monkeypatch):
+    """Rerunning configs/quadratic_dynamic.cfg reproduces the committed
+    results/quadratic_dynamic.{csv,baseline.csv,meta.txt}, and sweeping
+    configs/quadratic_sweep.cfg over windows 2 and 8 reproduces
+    results/quadratic_sweep_w{2,8}.{csv,meta.txt}."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    cfg = parse_config(root / "configs" / "quadratic_dynamic.cfg")
+    cfg.output = str(tmp_path / "quadratic_dynamic")
+    run_experiment(cfg)
+    _assert_reproduces(cfg.output, root / "results" / "quadratic_dynamic", (".csv", ".baseline.csv"))
+    sweep_cfg = (root / "configs" / "quadratic_sweep.cfg").read_text(encoding="utf-8")
+    path = _write(tmp_path / "sweep.cfg", sweep_cfg + f"output = {tmp_path / 'quadratic_sweep'}\n")
+    assert main(["sweep", "--config", path, "--windows", "2,8"]) == 0
+    for w in (2, 8):
+        _assert_reproduces(str(tmp_path / f"quadratic_sweep_w{w}"),
+                           root / "results" / f"quadratic_sweep_w{w}", (".csv",))
 
 
 def test_enet_oracle_comparator_chain_matches_benchmark_reference(monkeypatch):
@@ -635,13 +693,20 @@ for path in sorted(Path("configs").glob("*.cfg")):
                    + f"T = 12\\noutput = {out / path.stem}\\n", encoding="utf-8")
     if main(["run", "--config", str(cut)]) != 0:
         sys.exit(f"run failed: {path.name}")
+for name in ("quadratic_sweep", "synthetic_stages"):
+    cut = out / f"{name}.cfg"
+    with open(cut, "a", encoding="utf-8") as fh:
+        fh.write(f"output = {out / 'sweep' / name}\\n")
+    if main(["sweep", "--config", str(cut), "--windows", "1,T"]) != 0:
+        sys.exit(f"sweep failed: {name}")
 """
 
 
 def test_shipped_configs_run_with_numpy_as_only_dependency(tmp_path):
-    """`oagd validate` and a T = 12 `oagd run` of every configs/*.cfg
-    succeed in a fresh interpreter that refuses every import outside the
-    standard library, numpy and oagd itself."""
+    """`oagd validate` and a T = 12 `oagd run` of every configs/*.cfg, and
+    a T = 12 `oagd sweep` of the two sweep configs, succeed in a fresh
+    interpreter that refuses every import outside the standard library,
+    numpy and oagd itself."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_RUN, str(tmp_path)],
@@ -650,3 +715,5 @@ def test_shipped_configs_run_with_numpy_as_only_dependency(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("*.meta.txt"))) == len(list((root / "configs").glob("*.cfg")))
+    assert sorted(p.name for p in (tmp_path / "sweep").glob("*.meta.txt")) == [
+        f"{name}_w{w}.meta.txt" for name in ("quadratic_sweep", "synthetic_stages") for w in "1T"]
