@@ -289,6 +289,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("elastic_net needs mu_smooth > 0")
     if cfg.problem == "synthetic" and not cfg.d2:
         raise ConfigError("synthetic problem needs d2")
+    if cfg.synthetic_stages < 1:
+        raise ConfigError(f"synthetic_stages must be a positive integer, got {cfg.synthetic_stages}")
+    if not cfg.noise_max >= 0:
+        raise ConfigError(f"noise_max must be non-negative, got {cfg.noise_max:g}")
     if cfg.set_kind and cfg.set_kind not in ("box", "ball", "unbounded"):
         raise ConfigError(f"set_kind must be box, ball, or unbounded, got {cfg.set_kind!r}")
     if cfg.h_samples < 1:

@@ -177,6 +177,11 @@ def test_validate_config_errors():
     for overrides in cases:
         with pytest.raises(ConfigError):
             validate_config(_base_cfg(**overrides))
+    # bad synthetic settings name their key instead of failing inside
+    # equal_stages or the noise draw
+    for key, value in (("synthetic_stages", 0), ("synthetic_stages", -2), ("noise_max", -1.0)):
+        with pytest.raises(ConfigError, match=key):
+            validate_config(_base_cfg(problem="synthetic", d2=3, **{key: value}))
     assert validate_config(_base_cfg()).problem == "quadratic"
 
 

@@ -332,14 +332,17 @@ def test_inner_schedule_validation():
 def test_stream_inner_gd_paths_agree_and_validate():
     """A regression or quadratic stream takes its fused inner_steps, a plain
     list of rounds the generic inner_gd; both give the same bits, reject
-    K < 1 and beta <= 0, raise NonFiniteIterate for a diverging beta, and
-    the fused path raises StreamExhausted past the stream's end."""
+    K < 1 and beta <= 0, raise NonFiniteIterate for a diverging beta (on
+    the elastic net through the smoothing term's square root) after the
+    same diverging iterates, and the fused path raises StreamExhausted past
+    the stream's end."""
+    tables = _regression_tables(4, seed=4)
     cases = (
-        (HOStream(*_regression_tables(4, seed=4), d1=1), np.ones(4), 1e3),
-        (quadratic_stream("alt_sqrt", 6), np.array([-0.7]), 3.0),
+        (HOStream(*tables, d1=1), np.array([0.3]), np.ones(4), 1e3),
+        (ElasticNetStream(*tables, mu_smooth=0.5, d1=5), np.full(5, 0.3), np.ones(4), 1e3),
+        (quadratic_stream("alt_sqrt", 6), np.array([0.3]), np.array([-0.7]), 3.0),
     )
-    x = np.array([0.3])
-    for stream, y, beta_bad in cases:
+    for stream, x, y, beta_bad in cases:
         rounds = [stream[i] for i in range(len(stream))]
         np.testing.assert_array_equal(
             stream_inner_gd(stream, 3, x, y, 0.05, 9), stream_inner_gd(rounds, 3, x, y, 0.05, 9)
@@ -351,5 +354,13 @@ def test_stream_inner_gd_paths_agree_and_validate():
                 stream_inner_gd(s, 1, x, y, beta=0.0, K=1)
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
                 stream_inner_gd(s, 2, x, y, beta=beta_bad, K=5000)
+        # the diverging iterates agree bit for bit too: huge (on the elastic
+        # net past the overflow of z^2 inside the square root) and then nan
+        for K in (50, 5000):
+            z = y.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(K):
+                    z -= beta_bad * rounds[1].grad_y_g(x, z)
+            assert stream.inner_steps(2, x, y, beta_bad, K).tobytes() == z.tobytes()
         with pytest.raises(StreamExhausted):
             stream_inner_gd(stream, len(stream) + 1, x, y, 0.05, 1)

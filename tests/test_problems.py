@@ -193,23 +193,43 @@ def test_ho_fast_window_matches_generic():
             np.testing.assert_allclose(fast, generic, atol=1e-12)
 
 
+def _gd_steps(rnd, x, y, beta, K):
+    """inner_gd's loop on one round without its finiteness check, with
+    numpy's overflow and invalid warnings silenced."""
+    z = np.asarray(y, dtype=float).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(K):
+            z -= beta * rnd.grad_y_g(x, z)
+    return z
+
+
 def test_fused_inner_steps_match_inner_gd():
     """inner_steps is inner_gd on the round, bit for bit, for both ridge
-    shapes, both elastic-net shapes and the quadratic family, and leaves its
-    y untouched."""
+    shapes and both elastic-net shapes at d2 = 1, 5, 8 and 33 (33 takes
+    ddot's vector kernel) and for the quadratic family; also from a y with
+    -0.0, the smallest subnormal and 1e200 (whose square overflows), an
+    integer y and a strided y. y is left untouched."""
     rng = np.random.default_rng(20)
-    streams = (_small_ho(d1=1), _small_ho(d1=3),
-               _small_ho(d1=4, elastic=True), _small_ho(d1=6, elastic=True),
-               quadratic_stream("alt_sqrt", 8))
+    streams = [quadratic_stream("alt_sqrt", 8)]
+    for d2 in (1, 5, 8, 33):
+        streams += [_small_ho(d1=1, d2=d2), _small_ho(d1=d2, d2=d2),
+                    _small_ho(d1=d2 + 1, d2=d2, elastic=True),
+                    _small_ho(d1=2 * d2, d2=d2, elastic=True)]
     for s in streams:
         for t in (1, 4, 6):
             x = rng.uniform(-0.5, 0.5, size=s.d1)
-            y = rng.normal(size=s.d2)
-            y_before = y.copy()
-            for K in (1, 7, 40):
+            ys = (rng.normal(size=s.d2), rng.integers(-3, 4, size=s.d2),
+                  rng.normal(size=2 * s.d2)[::2])
+            for y in ys:
+                y_before = y.copy()
+                for K in (1, 7, 40):
+                    fused = s.inner_steps(t, x, y, 0.05, K)
+                    assert np.array_equal(fused, inner_gd(s[t - 1], x, y, 0.05, K))
+                assert np.array_equal(y, y_before)
+            y = np.resize([-0.0, 5e-324, 1e200], s.d2) * rng.choice([-1.0, 1.0], size=s.d2)
+            for K in (1, 7):
                 fused = s.inner_steps(t, x, y, 0.05, K)
-                assert np.array_equal(fused, inner_gd(s[t - 1], x, y, 0.05, K))
-            assert np.array_equal(y, y_before)
+                assert fused.tobytes() == _gd_steps(s[t - 1], x, y, 0.05, K).tobytes()
         with pytest.raises(StreamExhausted):
             s.inner_steps(len(s) + 1, x, y, 0.05, 1)
 
@@ -253,8 +273,10 @@ def test_elastic_net_fast_window_matches_generic():
 def test_elastic_net_has_no_closed_form_inner():
     s = _small_ho(d1=4, elastic=True)
     assert s[0].closed_form_y_star is None
-    with pytest.raises(ValueError):
-        _small_ho(d1=4, elastic=True, mu=0.0)
+    # mu = 1e-170 squares to 0.0, and the follower would divide 0 by 0
+    for mu in (0.0, -0.5, 1e-170):
+        with pytest.raises(ValueError, match="mu_smooth"):
+            _small_ho(d1=4, elastic=True, mu=mu)
     with pytest.raises(DimensionMismatch):
         _small_ho(d1=5, elastic=True)
 
