@@ -85,9 +85,9 @@ def load_csv(path, label_column: Optional[str] = None,
              shuffle_seed: Optional[int] = None) -> SampleTable:
     """Parse a numeric CSV with a header row into a SampleTable.
 
-    label_column defaults to the last column. Non-numeric cells raise
-    ParseError with their location; a file without data rows raises
-    EmptyDataset.
+    label_column defaults to the last column. Non-numeric and non-finite
+    (nan, inf) cells raise ParseError with their location; a file without
+    data rows raises EmptyDataset.
     """
     path = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -106,11 +106,13 @@ def load_csv(path, label_column: Optional[str] = None,
             vals = []
             for c, cell in enumerate(row):
                 try:
-                    vals.append(float(cell))
+                    v = float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell {cell!r}", row=r, column=header[c]
-                    ) from None
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}: non-numeric or non-finite cell {cell!r}",
+                                     row=r, column=header[c])
+                vals.append(v)
             rows.append(vals)
     if not rows:
         raise EmptyDataset(f"{path} has no data rows")
@@ -293,6 +295,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"synthetic_stages must be a positive integer, got {cfg.synthetic_stages}")
     if not cfg.noise_max >= 0:
         raise ConfigError(f"noise_max must be non-negative, got {cfg.noise_max:g}")
+    if cfg.mu_f is not None and not cfg.mu_f > 0:
+        raise ConfigError(f"mu_f must be positive when set, got {cfg.mu_f:g}")
+    if not cfg.y_bound >= 0:
+        raise ConfigError(f"y_bound must be non-negative, got {cfg.y_bound:g}")
     if cfg.set_kind and cfg.set_kind not in ("box", "ball", "unbounded"):
         raise ConfigError(f"set_kind must be box, ball, or unbounded, got {cfg.set_kind!r}")
     if cfg.h_samples < 1:
@@ -463,6 +469,8 @@ def _initial_pair(cfg: ExperimentConfig, prep: _Prepared) -> DecisionPair:
         x = _parse_vector(cfg.init_x, "init_x")
         if x.shape != (prep.d1,):
             raise ConfigError(f"init_x must have length d1={prep.d1}")
+        if not prep.fset.contains(x, atol=1e-12):
+            raise ConfigError(f"init_x = {cfg.init_x} lies outside the feasible set")
     else:
         x = project(prep.fset, np.zeros(prep.d1))
     if cfg.init_y:

@@ -18,12 +18,12 @@ Three families, all exposing analytic derivatives through RoundFunctions:
   coordinates) and a ridge block (scalar or d2) and adds
   sum_i exp(x_i) (y_i^2 + mu^2)^(1/2) to g.
 
-Streams are immutable sequences of RoundFunctions. The regression and
-quadratic streams additionally expose windowed_hypergrad(t, window, x, y),
-an O(w d2) fast path equivalent to the generic averaging loop;
-hypergrad.stream_windowed_hypergradient picks it up when present. The
-regression streams keep newest-first contiguous copies of their window
-tables, so that path slices rows instead of copying them every round.
+Streams are sequences of RoundFunctions; stream[i] builds round i anew on
+every call. The regression and quadratic streams additionally expose
+windowed_hypergrad(t, window, x, y), an O(w d2) fast path equivalent to the
+generic averaging loop. The regression streams hold newest-first copies of
+their window tables, which that path slices, and the window kernel's
+workspace, which it overwrites: one stream must not serve concurrent runs.
 
 Every stream also exposes inner_steps(t, x, y, beta, K), the K follower
 steps of round t fused into one loop in Python floats.
@@ -136,7 +136,6 @@ class QuadraticStream:
         self.d1 = 1
         self.d2 = 1
         self._shift = 2.0 * self.a1 - self.a2
-        self._cache: dict[int, RoundFunctions] = {}
 
     def __len__(self) -> int:
         return self.a1.shape[0]
@@ -144,14 +143,8 @@ class QuadraticStream:
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        rnd = self._cache.get(i)
-        if rnd is None:
-            rnd = quadratic_round(
-                self.a1[i], self.a2[i], self.a3[i], self.a4[i],
-                fset=self.fset, label=f"quadratic t={i + 1}",
-            )
-            self._cache[i] = rnd
-        return rnd
+        return quadratic_round(self.a1[i], self.a2[i], self.a3[i], self.a4[i], fset=self.fset,
+                               label=f"quadratic t={i + 1}")
 
     def stacked_round(self, T: int, start: int = 0) -> RoundFunctions:
         """Rounds start + 1..T as one RoundFunctions over a leading round
@@ -298,6 +291,8 @@ class HOStream:
     inside g and validation sample (A_val[i], b_val[i]) inside f. d1 is 1
     (scalar ridge weight broadcast over the diagonal) or d2 (one weight per
     coordinate).
+    It holds only its tables and the window workspace (so it must not serve
+    concurrent runs); self[i] builds round i anew on every call.
     """
 
     smoothing = False
@@ -323,7 +318,6 @@ class HOStream:
         self._A_val_rev = np.ascontiguousarray(self.A_val[::-1])
         self._b_val_rev = np.ascontiguousarray(self.b_val[::-1])
         self._window_work = sm_workspace(n, d2)
-        self._cache: dict[int, RoundFunctions] = {}
 
     def _check_d1(self):
         if self.d1 not in (1, self.d2):
@@ -400,16 +394,13 @@ class HOStream:
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        rnd = self._cache.get(i)
-        if rnd is not None:
-            return rnd
         av, bv = self.A_val[i], float(self.b_val[i])
         a, rhs = self.A_train[i], self.b_train[i] * self.A_train[i]
 
         def hess_yy_parts(x, y):
             return a, self._penalty(3, x, y)
 
-        rnd = RoundFunctions(
+        return RoundFunctions(
             f=lambda x, y: 0.5 * (av @ y - bv) ** 2,
             g=lambda x, y: self._round_at(i, x).value_grad(y)[0],
             grad_x_f=lambda x, y: np.zeros(self.d1),
@@ -424,8 +415,6 @@ class HOStream:
                 lambda x: sm_solve(a, self._penalty(3, x, None), rhs)),
             label=f"{'elastic_net' if self.smoothing else 'ho'} t={i + 1}",
         )
-        self._cache[i] = rnd
-        return rnd
 
     def full_batch_round(self, A, b) -> RoundFunctions:
         """The inner problem over a whole sample table at fixed x: mean

@@ -92,6 +92,11 @@ def test_load_csv_label_column_and_errors(tmp_path):
         load_csv(_write(tmp_path / "empty.csv", ""))
     with pytest.raises(EmptyDataset):
         load_csv(_write(tmp_path / "header.csv", "x,y\n"))
+    # a nan or inf cell would be spread over its column by standardization
+    for cell in ("nan", "inf", "-Infinity"):
+        with pytest.raises(ParseError, match="non-finite") as info:
+            load_csv(_write(tmp_path / "nonfinite.csv", f"x,y\n1,2\n\n3,{cell}\n"))
+        assert (info.value.row, info.value.column) == (4, "y")
 
 
 def test_load_csv_shuffle_is_deterministic(tmp_path):
@@ -182,6 +187,14 @@ def test_validate_config_errors():
     for key, value in (("synthetic_stages", 0), ("synthetic_stages", -2), ("noise_max", -1.0)):
         with pytest.raises(ConfigError, match=key):
             validate_config(_base_cfg(problem="synthetic", d2=3, **{key: value}))
+    # each names its key, not a ZeroDivisionError or a quantity derived
+    # from it (alpha, ell_f0)
+    for key, value in (("mu_f", 0.0), ("mu_f", -1.0), ("y_bound", -2.0)):
+        with pytest.raises(ConfigError, match=key):
+            validate_config(_base_cfg(**{key: value}))
+    # an infeasible init_x is a config mistake, caught before the loop
+    with pytest.raises(ConfigError, match="init_x"):
+        _set_up(_base_cfg(init_x="5.0"))
     assert validate_config(_base_cfg()).problem == "quadratic"
 
 
@@ -485,7 +498,7 @@ def test_sweep_writes_one_output_per_window(tmp_path):
     """Every file a sweep writes for a window equals what a standalone run
     at that window writes, except wall_nanos and config.output: each
     window keeps its own override notes, and sharing the prepared stream
-    (its round cache and kernel workspace) and the comparator series
+    (its tables and kernel workspace) and the comparator series
     changes nothing."""
     for name, text in (("quad", QUAD_CFG + "baseline = full_info\n"), ("syn", SYN_CFG)):
         path = _write(tmp_path / f"{name}.cfg", text.format(out=tmp_path / name / "sw"))

@@ -1,6 +1,9 @@
 """Tests for the concrete round families: analytic derivatives against
 central differences, closed forms, fast window paths, and the synthetic
 stream generator."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,29 @@ def test_ho_dimension_rules():
     with pytest.raises(DimensionMismatch):
         HOStream(rng.normal(size=(4, 3)), rng.normal(size=4),
                  rng.normal(size=(5, 3)), rng.normal(size=5))
+
+
+def test_streams_keep_no_per_round_state():
+    """Indexing every round of a 2000-round stream and dropping the rounds
+    leaves nothing behind: stream[i] builds its round anew on every call.
+    One kept regression round would hold about 3 kB, so 2000 of them would
+    pass the 100 kB bound many times over."""
+    rng = np.random.default_rng(23)
+    T, d2 = 2000, 5
+    tables = (rng.normal(size=(T, d2)), rng.normal(size=T), rng.normal(size=(T, d2)),
+              rng.normal(size=T))
+    streams = (HOStream(*tables), ElasticNetStream(*tables, mu_smooth=0.1),
+               quadratic_stream("alt_sqrt", T))
+    tracemalloc.start()
+    try:
+        for stream in streams:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(len(stream)):
+                stream[i]
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 100_000, stream
+    finally:
+        tracemalloc.stop()
 
 
 def test_elastic_net_round_derivatives():

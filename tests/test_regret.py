@@ -232,6 +232,11 @@ def test_comparator_series_numeric_provenance():
     series = comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1))
     assert series.provenance.startswith("numerical")
     np.testing.assert_allclose(series.x_star[:, 0], [0.1, 0.5], atol=1e-8)
+    # a closed-form round next to one without closed_form_x_star
+    stream = _ListStream([quadratic_round(0.1, 0.2), _strip(quadratic_round(-0.2, 0.3))])
+    series = comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1))
+    assert series.provenance == "mixed"
+    np.testing.assert_allclose(series.x_star[:, 0], [0.1, 0.5], atol=1e-8)
 
 
 def test_attach_static_numeric_minimizes_average():
@@ -319,6 +324,8 @@ def test_h_estimate_exact_for_shifting_quadratics():
     stream = quadratic_stream("custom", T=3, coefficients=(np.zeros(3), a2))
     h = h_estimate(stream, stream.fset)
     assert h == pytest.approx(0.25 + 1.0, rel=1e-12)
+    # one round has no predecessor to vary from
+    assert h_estimate(stream, stream.fset, T=1) == 0.0
 
 
 def _h_per_point(stream, pts):
