@@ -38,7 +38,6 @@ from .hypergrad import (
     WeightWindow,
     hypergradient,
     make_weights,
-    solve_M,
     windowed_hypergradient,
 )
 from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance
@@ -119,7 +118,6 @@ __all__ = [
     "project",
     "quadratic_round",
     "quadratic_stream",
-    "solve_M",
     "synthesize",
     "windowed_hypergradient",
 ]

@@ -252,9 +252,12 @@ def _parse_bool(value: str) -> bool:
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        v = np.array([float(p) for p in text.split(",") if p.strip() != ""])
     except ValueError:
         raise ConfigError(f"{name} must be comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return v
 
 
 def _check_window(w: str, name: str):
@@ -411,8 +414,10 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
                     window: WeightWindow):
     """Regime defaults plus any explicit overrides (recorded as notes)."""
     constants = prep.constants
+    if cfg.mu_f is not None:  # ProblemConstants checks it against ell_f1
+        constants = replace(constants, mu_f=cfg.mu_f)
     derived = derive_constants(constants)
-    mu_f = cfg.mu_f if cfg.mu_f is not None else constants.mu_f
+    mu_f = constants.mu_f
     beta = cfg.beta if cfg.beta is not None else InnerSchedule.theorem_beta(
         constants.ell_g1, constants.mu_g)
     if cfg.beta is not None:
@@ -595,8 +600,8 @@ def _full_train_fit(prep: _Prepared, x_final: np.ndarray) -> np.ndarray:
     mean squared data loss plus the stream's per-round penalty, solved by
     damped Newton to FULL_FIT_TOL."""
     A, b = prep.dataset.split("train")
-    fit_round = prep.stream.full_batch_round(A, b)
-    return newton_to_tolerance(fit_round, x_final, np.zeros(A.shape[1]), tol=FULL_FIT_TOL)
+    model = prep.stream.full_batch_model(A, b, x_final)
+    return newton_to_tolerance(model, np.zeros(A.shape[1]), tol=FULL_FIT_TOL)
 
 
 def test_error(prep: _Prepared, x_final: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Foundational types: decision pairs, feasible sets, problem constants,
-and the per-round function bundle every other module consumes.
+the per-round function bundle every other module consumes, and the inner
+model g(x, .) at one x that damped Newton reads.
 
 Everything is dense float64. All types are frozen after construction and
 safe to share across concurrent runs.
@@ -205,15 +206,14 @@ class RoundFunctions:
 
     All derivatives are supplied analytically by the problem family; there is
     no automatic differentiation anywhere. Shapes: x is (d1,), y is (d2,),
-    jac_xy_g returns (d1, d2) = cross second derivatives of g, hess_yy_g
-    returns the (d2, d2) inner Hessian.
+    jac_xy_g returns (d1, d2) = cross second derivatives of g, and
+    hess_yy_parts(x, y) returns the inner Hessian, the second derivative of
+    g in y, as two (d2,) vectors (a, d): it is diag(d) + a a^T, which
+    hypergrad.sm_solve solves by Sherman-Morrison.
 
     Optional handles:
-      hess_yy_parts(x, y): the inner Hessian as (a, d), (d2,) vectors with
-        hess_yy_g = diag(d) + a a^T, solved by hypergrad.sm_solve (and made
-        dense by dense_hessian); without it hess_yy_g is factored densely.
       inner_model(x): g(x, .) at one x as an InnerModel, its x-dependent
-        factors computed once; newton_to_tolerance reads g only through it.
+        factors computed once (inner.inner_model_at adapts other rounds).
       closed_form_y_star(x): exact inner minimizer. It also accepts a batch
         x of shape (P, d1) and returns the (P, d2) minimizers row by row, so
         a caller can solve a whole point cloud in one call.
@@ -241,8 +241,7 @@ class RoundFunctions:
     grad_y_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_xy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_yy_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    hess_yy_parts: Callable[[np.ndarray, np.ndarray], tuple]
     inner_model: Optional[Callable[[np.ndarray], "InnerModel"]] = None
     closed_form_y_star: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_form_x_star: Optional[Callable[[], np.ndarray]] = None
@@ -251,33 +250,10 @@ class RoundFunctions:
 
 
 class InnerModel(NamedTuple):
-    """g(x, .) at one fixed x: value_grad(z) -> (g as a float, grad_y g);
-    hess_parts(z) -> (a, d) as hess_yy_parts, or None, and then hess(z) is
-    the dense Hessian. hess_parts may reuse value_grad's work on the same z."""
+    """g(x, .) at one fixed x: value_grad(z) -> (g as a float, grad_y g),
+    and solve(z, rhs) -> H(z)^{-1} rhs with H(z) the inner Hessian at z.
+    solve may reuse value_grad's work on the same z."""
 
     value_grad: Callable[[np.ndarray], tuple]
-    hess_parts: Optional[Callable[[np.ndarray], tuple]]
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-
-def inner_model_at(r: RoundFunctions, x: np.ndarray) -> InnerModel:
-    """r.inner_model(x), else the model calling r's g, grad_y_g and
-    hess_yy_parts or hess_yy_g (quadratic, full-batch, hand-built rounds)."""
-    if r.inner_model is not None:
-        return r.inner_model(x)
-    return InnerModel(
-        lambda z: (float(r.g(x, z)), np.asarray(r.grad_y_g(x, z), dtype=float)),
-        None if r.hess_yy_parts is None else lambda z: r.hess_yy_parts(x, z),
-        lambda z: np.asarray(r.hess_yy_g(x, z), dtype=float),
-    )
-
-
-def dense_hessian(parts: Callable[[np.ndarray, np.ndarray], tuple]):
-    """hess_yy_g of a round whose inner Hessian is hess_yy_parts = parts:
-    (x, y) -> diag(d) + a a^T as a dense (d2, d2) matrix."""
-
-    def hess_yy_g(x, y):
-        a, d = parts(x, y)
-        return np.outer(a, a) + np.diag(d)
-
-    return hess_yy_g

@@ -52,11 +52,16 @@ class OracleUnavailable(OagdError):
 
 class OracleDiverged(OagdError):
     """A comparator oracle stopped short of tolerance: it hit its iteration
-    cap, its step collapsed, or the inner Hessian was not positive definite."""
+    cap, its step collapsed, or the inner Hessian was not positive definite.
+    Carries the last residual, and the round index when raised for one
+    round of a measurement pass."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, round_index=None):
+        if round_index is not None:
+            message = f"round {round_index}: {message}"
         super().__init__(message)
         self.residual = residual
+        self.round_index = round_index
 
 
 class NonConvexFlag(Warning):

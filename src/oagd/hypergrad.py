@@ -2,15 +2,16 @@
 
 The single-round hypergradient at a pair (x, y) is
 
-    grad_x f(x, y) + M grad_y f(x, y),    M solving  jac_xy_g + M hess_yy_g = 0,
+    grad_x f(x, y) + M grad_y f(x, y),    M solving  jac_xy_g + M H = 0,
 
-i.e. M = -jac_xy_g(x,y) hess_yy_g(x,y)^{-1}. At y = y*(x) this equals the
-exact gradient of the composed objective phi(x) = f(x, y*(x)) by the implicit
-function theorem; away from y*(x) the error is bounded by M_f ||y - y*(x)||.
+i.e. M = -jac_xy_g(x,y) H(x,y)^{-1} with H the inner Hessian. At y = y*(x)
+this equals the exact gradient of the composed objective phi(x) =
+f(x, y*(x)) by the implicit function theorem; away from y*(x) the error is
+bounded by M_f ||y - y*(x)||.
 
-Every shipped round states its inner Hessian as diag(d) + a a^T
-(hess_yy_parts), and sm_solve solves it by Sherman-Morrison;
-cholesky_solve is the dense fallback for any other round.
+Every round states H as diag(d) + a a^T (hess_yy_parts), and sm_solve
+solves it by Sherman-Morrison. cholesky_solve solves a dense Hessian: the
+full-training-split fit's A^T A / n + diag(d).
 
 The windowed form averages the last w rounds' hypergradients, every term
 evaluated at the same current pair and carrying its own round's curvature:
@@ -61,9 +62,8 @@ def sm_solve(a: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve hess z = rhs for a dense symmetric positive definite hess: one
     Cholesky factorization hess = L L^T (numpy.linalg.cholesky, which reads
-    the lower triangle), then solves with L and L^T. The generic fallback
-    for rounds that do not state their inner Hessian as hess_yy_parts.
-    Raises FactorizationFailure when hess is not finite or not numerically
+    the lower triangle), then solves with L and L^T. Raises
+    FactorizationFailure when hess is not finite or not numerically
     positive definite."""
     if not np.isfinite(hess).all():
         raise FactorizationFailure("inner Hessian not finite")
@@ -90,35 +90,12 @@ def _check_residual(jac_xy: np.ndarray, residual: np.ndarray):
         )
 
 
-def solve_M(hess_yy: np.ndarray, jac_xy: np.ndarray) -> np.ndarray:
-    """Solve jac_xy + M hess_yy = 0 for the (d1, d2) sensitivity matrix M
-    with a dense Hessian.
-
-    One Cholesky factorization of the symmetric positive definite Hessian,
-    then d1 solves. Raises FactorizationFailure when the Hessian is not
-    numerically positive definite (a violated strong-convexity assumption)
-    or the solve residual is out of tolerance.
-    """
-    hess_yy = np.asarray(hess_yy, dtype=float)
-    jac_xy = np.atleast_2d(np.asarray(jac_xy, dtype=float))
-    if hess_yy.shape[0] != hess_yy.shape[1]:
-        raise FactorizationFailure(f"inner Hessian must be square, got {hess_yy.shape}")
-    if jac_xy.shape[1] != hess_yy.shape[0]:
-        raise FactorizationFailure(
-            f"cross-Jacobian shape {jac_xy.shape} incompatible with Hessian {hess_yy.shape}"
-        )
-    M = -cholesky_solve(hess_yy, jac_xy.T).T
-    _check_residual(jac_xy, jac_xy + M @ hess_yy)
-    return M
-
-
 def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Single-round inexact hypergradient grad_x f + M grad_y f at (x, y).
 
-    M comes from sm_solve when the round states its inner Hessian as
-    hess_yy_parts (the residual jac + M diag(d) + (M a) a^T is checked as
-    in solve_M, with the diagonal evaluated once), else from solve_M on the
-    dense hess_yy_g.
+    -M comes from sm_solve on the round's hess_yy_parts (a, d); the
+    residual jac + M diag(d) + (M a) a^T is checked against
+    SOLVE_RESIDUAL_RTOL (1 + ||jac||_max), with the diagonal evaluated once.
 
     A stacked round (a stream's stacked_round, whose jac_xy_g is
     (T, d1, d2)) takes x (T, d1) and y (T, d2) and returns the (T, d1)
@@ -128,8 +105,6 @@ def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np
     jac = round_fns.jac_xy_g(x, y)
     gx = np.asarray(round_fns.grad_x_f(x, y), dtype=float)
     gy = np.asarray(round_fns.grad_y_f(x, y), dtype=float)
-    if round_fns.hess_yy_parts is None:
-        return gx + solve_M(round_fns.hess_yy_g(x, y), jac) @ gy
     a, d = round_fns.hess_yy_parts(x, y)
     if jac.ndim == 3:  # stacked: one (d1, d2) Jacobian and one diagonal per row
         d = d[:, None, :]

@@ -6,6 +6,10 @@ With beta = 2/(ell_g1 + mu_g) the iterates contract toward y*(x) at rate
 (1 - 1/(kappa_g + 1)) per step, so K = ceil((kappa_g + 1) log(1/rho^2) / 2)
 drives the warm-start error below rho ||y_init - y*||. All logarithms in the
 K formulas are natural logs.
+
+The measurement's to-tolerance oracles live here too: damped Newton for
+y*(x), which reads g(x, .) only through an InnerModel (its value_grad and
+its solve with the inner Hessian), and projected gradient descent for x*.
 """
 from __future__ import annotations
 
@@ -15,9 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DerivedConstants, FeasibleSet, RoundFunctions, inner_model_at, project
+from .core import DerivedConstants, FeasibleSet, InnerModel, RoundFunctions, project
 from .errors import FactorizationFailure, NonFiniteIterate, OracleDiverged
-from .hypergrad import cholesky_solve, sm_solve
+from .hypergrad import sm_solve
 
 #: default cap on per-round inner iteration counts; hitting it is recorded
 #: as an off-schedule warning rather than silently looping for hours.
@@ -87,26 +91,30 @@ def _resolvable(decrease: float, value: float) -> bool:
     return decrease > 1e-15 * max(abs(value), 1e-300)
 
 
-def newton_to_tolerance(
-    round_fns: RoundFunctions,
-    x: np.ndarray,
-    y_init: np.ndarray,
-    tol: float,
-) -> np.ndarray:
+def inner_model_at(r: RoundFunctions, x: np.ndarray) -> InnerModel:
+    """r.inner_model(x), else the model calling r's g, grad_y_g and
+    sm_solve on its hess_yy_parts (quadratic and hand-built rounds)."""
+    if r.inner_model is not None:
+        return r.inner_model(x)
+    return InnerModel(
+        lambda z: (float(r.g(x, z)), np.asarray(r.grad_y_g(x, z), dtype=float)),
+        lambda z, rhs: sm_solve(*r.hess_yy_parts(x, z), rhs),
+    )
+
+
+def newton_to_tolerance(model: InnerModel, y_init: np.ndarray, tol: float) -> np.ndarray:
     """Damped Newton on g(x, .) until ||grad_y g|| <= tol (oracle use, not
     part of the online algorithm).
 
-    It reads only the round's inner model at x (core.inner_model_at). Each
-    iteration takes d = -hess_yy_g^{-1} grad_y g (sm_solve on the model's
-    hess_parts, else one Cholesky factorization of its dense hess) and
-    halves a unit step s until the Armijo condition
+    It reads g(x, .) only through its inner model at one x (inner_model_at
+    gives a round's). Each iteration takes d = -model.solve(z, grad_y g)
+    and halves a unit step s until the Armijo condition
     g(z + s d) <= g(z) + 1e-4 s grad^T d holds; once that required decrease
     is below float64 resolution of g, strict descent of the gradient norm
     is accepted instead. Raises OracleDiverged, carrying the last residual,
     on a Hessian that is not positive definite, on step collapse, or after
     NEWTON_MAX_ITERS iterations.
     """
-    model = inner_model_at(round_fns, x)
     z = np.asarray(y_init, dtype=float).copy()
     val, grad = model.value_grad(z)
     res = math.sqrt(grad.dot(grad))  # np.linalg.norm's bits, without its dispatch
@@ -114,10 +122,7 @@ def newton_to_tolerance(
         if res <= tol:
             return z
         try:
-            if model.hess_parts is None:
-                d = -cholesky_solve(model.hess(z), grad)
-            else:
-                d = -sm_solve(*model.hess_parts(z), grad)
+            d = -model.solve(z, grad)
         except FactorizationFailure as exc:
             raise OracleDiverged(f"inner oracle at residual {res:.3e}: {exc}", residual=res) from exc
         step, unit_drop = 1.0, -1e-4 * float(grad.dot(d))

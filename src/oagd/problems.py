@@ -18,6 +18,12 @@ Three families, all exposing analytic derivatives through RoundFunctions:
   coordinates) and a ridge block (scalar or d2) and adds
   sum_i exp(x_i) (y_i^2 + mu^2)^(1/2) to g.
 
+Every round states its inner Hessian as diag(d) + a a^T (hess_yy_parts):
+a = 0 and d = 1 for the quadratic, the training row a and the penalty's
+diagonal for the regression families, whose inner models solve it by
+Sherman-Morrison. Only the fit on a whole training split
+(HOStream.full_batch_model) has a dense Hessian, A^T A / n + diag(d).
+
 Streams are sequences of RoundFunctions; stream[i] builds round i anew on
 every call. The regression and quadratic streams additionally expose
 windowed_hypergrad(t, window, x, y), an O(w d2) fast path equivalent to the
@@ -56,10 +62,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (FeasibleSet, InnerModel, ProblemConstants, RoundFunctions, dense_hessian,
-                   project)
+from .core import FeasibleSet, InnerModel, ProblemConstants, RoundFunctions, project
 from .errors import DimensionMismatch, StreamExhausted
-from .hypergrad import sm_solve
+from .hypergrad import cholesky_solve, sm_solve
 from .kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
 
 QUADRATIC_CONSTANTS = ProblemConstants(
@@ -73,9 +78,6 @@ _QUAD_HESS_PARTS = (np.broadcast_to(0.0, (1,)), np.broadcast_to(1.0, (1,)))
 
 def _quad_hess_yy_parts(x, y):
     return _QUAD_HESS_PARTS
-
-
-_quad_hess_yy_g = dense_hessian(_quad_hess_yy_parts)
 
 
 def quadratic_round(
@@ -104,7 +106,6 @@ def quadratic_round(
         grad_y_f=lambda x, y: np.array([y[0] - a2]),
         grad_y_g=lambda x, y: np.array([y[0] - x[0] + a2]),
         jac_xy_g=lambda x, y: np.array([[-1.0]]),
-        hess_yy_g=_quad_hess_yy_g,
         hess_yy_parts=_quad_hess_yy_parts,
         closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
@@ -151,8 +152,8 @@ class QuadraticStream:
         axis of n = T - start rows: row t - start - 1 of x (n, 1) and
         y (n, 1) is evaluated with round t's coefficients. f and g give
         (n,), the gradients (n, 1), jac_xy_g (n, 1, 1), hess_yy_parts the
-        shared a = 0 and an (n, 1) d = 1, hess_yy_g (n, 1, 1), both
-        closed-form comparators (n, 1), and closed_form_y_star(x) (n, 1),
+        shared a = 0 and an (n, 1) d = 1, both closed-form comparators
+        (n, 1), and closed_form_y_star(x) (n, 1),
         or (n, P, 1) for a cloud x of shape (n, P, 1).
 
         Every row carries the bits of its round self[t - 1]: the squares go
@@ -186,7 +187,6 @@ class QuadraticStream:
             grad_y_f=lambda x, y: y - a2c,
             grad_y_g=lambda x, y: y - x + a2c,
             jac_xy_g=lambda x, y: np.full((n, 1, 1), -1.0),
-            hess_yy_g=lambda x, y: np.ones((n, 1, 1)),
             hess_yy_parts=lambda x, y: parts,
             closed_form_y_star=closed_form_y_star,
             closed_form_x_star=lambda: project(fset, a2c - a1c),
@@ -364,8 +364,10 @@ class HOStream:
 
     def _round_at(self, i: int, x, model: bool = True):
         """Round index i's g(x, .) at x as an InnerModel, which computes
-        a^T z - b and root(z) once for g and grad (and again only at a new
-        array z), or with model=False grad(z) alone: the follower's step."""
+        a^T z - b and root(z) once for g and grad, and solves with
+        diag(D) + a a^T by sm_solve from that root (computed again only at a
+        new array z); or with model=False grad(z) alone: the follower's
+        step."""
         a, b = self.A_train[i], float(self.b_train[i])
         root, value, penalty_grad, hess_diag, _ = self._penalty_at(x)
 
@@ -381,10 +383,10 @@ class HOStream:
             last[:] = z, q
             return 0.5 * r ** 2 + value(z, q), grad(z, r, q)
 
-        def hess_parts(z):
-            return a, hess_diag(z, last[1] if last[0] is z else root(z))
+        def solve(z, rhs):
+            return sm_solve(a, hess_diag(z, last[1] if last[0] is z else root(z)), rhs)
 
-        return InnerModel(value_grad, hess_parts)
+        return InnerModel(value_grad, solve)
 
     def _jac_xy(self, x, y) -> np.ndarray:
         *blocks, ridge = self._penalty(4, x, y)
@@ -407,7 +409,6 @@ class HOStream:
             grad_y_f=lambda x, y: av * (av @ y - bv),
             grad_y_g=lambda x, y: self._round_at(i, x, False)(y),
             jac_xy_g=lambda x, y: self._jac_xy(x, y),
-            hess_yy_g=dense_hessian(hess_yy_parts),
             hess_yy_parts=hess_yy_parts,
             inner_model=lambda x: self._round_at(i, x),
             # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
@@ -416,23 +417,24 @@ class HOStream:
             label=f"{'elastic_net' if self.smoothing else 'ho'} t={i + 1}",
         )
 
-    def full_batch_round(self, A, b) -> RoundFunctions:
-        """The inner problem over a whole sample table at fixed x: mean
-        squared loss ||A y - b||^2 / (2 n) plus the per-round penalty, with
-        f = 0. Used to fit y on the full training split."""
+    def full_batch_model(self, A, b, x) -> InnerModel:
+        """The inner problem over a whole sample table at fixed x as an
+        InnerModel: mean squared loss ||A y - b||^2 / (2 n) plus the
+        per-round penalty, solved with the dense A^T A / n + diag(D) by
+        Cholesky. Used to fit y on the full training split."""
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         n = A.shape[0]
         AtA = A.T @ A / n
-        return RoundFunctions(
-            f=lambda x, y: 0.0,
-            g=lambda x, y: float(0.5 * np.sum((A @ y - b) ** 2) / n + self._penalty(1, x, y)),
-            grad_x_f=lambda x, y: np.zeros(self.d1),
-            grad_y_f=lambda x, y: np.zeros(self.d2),
-            grad_y_g=lambda x, y: A.T @ (A @ y - b) / n + self._penalty(2, x, y),
-            jac_xy_g=self._jac_xy,
-            hess_yy_g=lambda x, y: AtA + np.diag(self._penalty(3, x, y)),
-            label="full batch",
+        root, value, grad, hess_diag, _ = self._penalty_at(x)
+
+        def value_grad(z):
+            q, r = root(z), A @ z - b
+            return float(0.5 * np.sum(r ** 2) / n + value(z, q)), A.T @ r / n + grad(z, q)
+
+        return InnerModel(
+            value_grad,
+            lambda z, rhs: cholesky_solve(AtA + np.diag(hess_diag(z, root(z))), rhs),
         )
 
     def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:

@@ -7,7 +7,8 @@ them. Per round they produce
     x*_t     = argmin_{x in X} f_t(x, y*_t(x))          (outer_oracle)
 
 from closed forms when the round exposes them and high-accuracy numerical
-solves otherwise. On top of the comparator series the report aggregates the
+solves otherwise; an OracleDiverged from one round's solves names that
+round. On top of the comparator series the report aggregates the
 dynamic and static regrets, the windowed-gradient local regret, the outer
 and inner path lengths P_p / Y_p with their static variants, and a sampled
 lower bound on the worst-case inner-map variation H_T.
@@ -16,15 +17,16 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import FeasibleSet, project
-from .errors import NonConvexFlag
+from .errors import NonConvexFlag, OracleDiverged
 from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
-from .inner import newton_to_tolerance, pgd_to_stationarity
+from .inner import inner_model_at, newton_to_tolerance, pgd_to_stationarity
 
 INNER_ORACLE_TOL = 1e-12
 OUTER_ORACLE_TOL = 1e-10
@@ -41,9 +43,19 @@ def inner_oracle(round_fns, x, y0: Optional[np.ndarray] = None) -> np.ndarray:
         raise ValueError("y0 is required when the round has no closed-form inner solution")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return np.array([newton_to_tolerance(round_fns, p, y, tol=INNER_ORACLE_TOL)
+        return np.array([newton_to_tolerance(inner_model_at(round_fns, p), y, INNER_ORACLE_TOL)
                          for p, y in zip(x, y0)])
-    return newton_to_tolerance(round_fns, x, y0, tol=INNER_ORACLE_TOL)
+    return newton_to_tolerance(inner_model_at(round_fns, x), y0, INNER_ORACLE_TOL)
+
+
+@contextmanager
+def _oracle_round(t: int):
+    """Re-raise an OracleDiverged from one round's oracle calls with its
+    1-based round index t."""
+    try:
+        yield
+    except OracleDiverged as exc:
+        raise OracleDiverged(str(exc), residual=exc.residual, round_index=t) from exc
 
 
 def _composed_handles(round_fns, y_hint):
@@ -156,8 +168,9 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
         rnd = stream[t]
         closed |= rnd.closed_form_x_star is not None
         numerical |= rnd.closed_form_x_star is None
-        xs = outer_oracle(rnd, fset, tol=tol, x0=x_prev, y0=y_prev)
-        ys = inner_oracle(rnd, xs, y0=y_prev)
+        with _oracle_round(t + 1):
+            xs = outer_oracle(rnd, fset, tol=tol, x0=x_prev, y0=y_prev)
+            ys = inner_oracle(rnd, xs, y0=y_prev)
         x_star[t] = xs
         y_star[t] = ys
         f_star[t] = rnd.f(xs, ys)
@@ -217,7 +230,8 @@ def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
     series.y_static = np.empty((T, d2))
     series.f_static = np.empty(T)
     for t, (value, _, solve) in enumerate(handles):
-        series.y_static[t] = solve(x_bar)
+        with _oracle_round(t + 1):
+            series.y_static[t] = solve(x_bar)
         series.f_static[t] = value(x_bar)
     return series
 
@@ -326,9 +340,11 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
             for sup in np.max(np.sum((ys[1:] - ys[:-1]) ** 2, axis=2), axis=1).tolist():
                 total += sup
         return total
-    prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
+    with _oracle_round(1):
+        prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
     for t in range(1, T):
-        cur = inner_oracle(stream[t], pts, y0=prev)
+        with _oracle_round(t + 1):
+            cur = inner_oracle(stream[t], pts, y0=prev)
         total += float(np.max(np.sum((cur - prev) ** 2, axis=1)))
         prev = cur
     return total
@@ -350,7 +366,8 @@ def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
         y_star = np.empty((T, trace.d2))
         y_prev = np.zeros(trace.d2)
         for t in range(T):
-            y_prev = y_star[t] = inner_oracle(stream[t], trace.x[t], y0=y_prev)
+            with _oracle_round(t + 1):
+                y_prev = y_star[t] = inner_oracle(stream[t], trace.x[t], y0=y_prev)
     windowed = getattr(stream, "stacked_windowed_hypergrad", None)
     if windowed is not None:
         return np.cumsum(np.sum(windowed(window, trace.x, y_star) ** 2, axis=1))

@@ -29,7 +29,6 @@ from oagd import (
     oagd_run,
     path_lengths,
     quadratic_stream,
-    solve_M,
     synthesize,
 )
 from oagd.cli import ExperimentConfig, prepare, run_experiment
@@ -121,7 +120,7 @@ def test_criterion_03_inner_contraction_rate():
             grad_y_f=lambda x, y: np.zeros(d2),
             grad_y_g=grad,
             jac_xy_g=lambda x, y: np.zeros((1, d2)),
-            hess_yy_g=lambda x, y, diag=diag: np.diag(diag),
+            hess_yy_parts=lambda x, y, diag=diag: (np.zeros_like(diag), diag),
         )
         beta = 2.0 / (ell + mu)
         y0 = y_star + rng.normal(size=d2)
@@ -414,9 +413,9 @@ def test_criterion_10_elastic_net_end_to_end(tmp_path):
             e[j] = h
             fd = (rnd.g(x, y + e) - rnd.g(x, y - e)) / (2.0 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
-        # every window term factorizes
-        M = solve_M(np.asarray(rnd.hess_yy_g(x, y)), np.asarray(rnd.jac_xy_g(x, y)))
-        assert np.all(np.isfinite(M))
+        # every window term factorizes: sm_solve and its residual check
+        # (SOLVE_RESIDUAL_RTOL) inside the hypergradient
+        assert np.all(np.isfinite(hypergradient(rnd, x, y)))
     elapsed = _budget(t0, 60.0, "criterion 10")
     print(
         f"PASS criterion 10: finite test error {test_err:.6f}, "

@@ -245,6 +245,22 @@ def test_validate_reports_every_config_mistake(tmp_path, capsys, lines):
     assert "error_category=ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("regime = convex_static\ninit_y = nan", "init_y"),
+    ("regime = convex_static\nset_kind = unbounded\nD = 1\ninit_x = -inf", "init_x"),
+    ("regime = strongly_convex\nmu_f = 5", "mu_f"),  # the quadratic's ell_f1 is 1
+])
+def test_validate_names_nonfinite_init_and_mu_f_above_ell_f1(tmp_path, capsys, lines, key):
+    """A non-finite init_x / init_y and a mu_f above the family's ell_f1
+    fail `oagd validate` with a ConfigError that names the key, instead of
+    a NonFiniteIterate at round 1 or a run on an impossible constant."""
+    base = "problem = quadratic\nT = 8\nalpha = 0.2\nbeta = 1.0\nK = 2\n"
+    path = _write(tmp_path / "bad.cfg", base + lines + "\n")
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=ConfigError" in err and key in err
+
+
 def test_beta_past_contraction_bound_rejected(tmp_path, capsys):
     """configs/synthetic_stages.cfg with beta = 0.05 > 2/ell_g1 ~ 0.032 (its
     old override, which made the outer iterate non-finite on round 245)
@@ -455,6 +471,20 @@ def test_main_reports_error_category(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error_category=ConfigError" in err
+
+
+def test_main_run_reports_outer_overflow_with_its_round(tmp_path, capsys):
+    """alpha = 1e200 on an unbounded set: x_1 = -2e200, and round 2's outer
+    step overflows, which `oagd run` reports as NonFiniteIterate naming
+    round 2."""
+    text = (QUAD_CFG.format(out=tmp_path / "of").replace("alpha = 0.2", "alpha = 1e200")
+            + "quad_a1_mode = zero\nset_kind = unbounded\nD = 1\n")
+    path = _write(tmp_path / "of.cfg", text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=NonFiniteIterate" in err
+    assert "round 2: outer iterate became non-finite" in err
 
 
 def test_main_missing_file_reports_oserror(tmp_path, capsys):

@@ -14,38 +14,11 @@ from oagd import (
     make_weights,
     quadratic_round,
     quadratic_stream,
-    solve_M,
     windowed_hypergradient,
 )
 from oagd.hypergrad import _check_residual, cholesky_solve, sm_solve
 from oagd.inner import newton_to_tolerance
 from oagd.problems import ElasticNetStream, HOStream
-
-
-def test_solve_m_diagonal_example():
-    """hess = diag(2, 4), jac = [[1, 2]]: M = -jac hess^{-1} = [[-1/2, -1/2]]."""
-    M = solve_M(np.diag([2.0, 4.0]), np.array([[1.0, 2.0]]))
-    np.testing.assert_allclose(M, [[-0.5, -0.5]], atol=1e-14)
-
-
-def test_solve_m_residual_on_random_spd():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        d2 = rng.integers(2, 8)
-        d1 = rng.integers(1, 4)
-        B = rng.normal(size=(d2, d2))
-        hess = B @ B.T + 0.5 * np.eye(d2)
-        jac = rng.normal(size=(d1, d2))
-        M = solve_M(hess, jac)
-        resid = np.abs(jac + M @ hess).max()
-        assert resid <= 1e-10 * (1.0 + np.abs(jac).max())
-
-
-def test_solve_m_rejects_indefinite_hessian():
-    with pytest.raises(FactorizationFailure):
-        solve_M(np.diag([1.0, -1.0]), np.array([[1.0, 1.0]]))
-    with pytest.raises(FactorizationFailure):
-        solve_M(np.zeros((2, 2)), np.array([[1.0, 1.0]]))
 
 
 def test_cholesky_solve_matches_dense_solve():
@@ -91,20 +64,21 @@ def _structured_rounds():
 
 def test_sm_solve_matches_dense_cholesky():
     """On the regression rounds, sm_solve on hess_yy_parts agrees with
-    cholesky_solve on the dense hess_yy_g to 1e-12 relative, for the Newton
-    step (a vector right-hand side) and for M (the Jacobian's rows)."""
+    cholesky_solve on the dense diag(d) + a a^T to 1e-12 relative, for the
+    Newton step (a vector right-hand side), for M (the Jacobian's rows) and
+    for the hypergradient grad_x f + M grad_y f."""
     for stream, x, y in _structured_rounds():
         rnd = stream[3]
         a, d = rnd.hess_yy_parts(x, y)
-        hess = rnd.hess_yy_g(x, y)
+        hess = np.outer(a, a) + np.diag(d)
         grad = rnd.grad_y_g(x, y)
         step, dense_step = sm_solve(a, d, grad), cholesky_solve(hess, grad)
         assert np.linalg.norm(step - dense_step) <= 1e-12 * np.linalg.norm(dense_step)
         jac = rnd.jac_xy_g(x, y)
-        M, dense_M = -sm_solve(a, d, jac), solve_M(hess, jac)
+        M, dense_M = -sm_solve(a, d, jac), -cholesky_solve(hess, jac.T).T
         assert np.linalg.norm(M - dense_M) <= 1e-12 * np.linalg.norm(dense_M)
-        dense_rnd = dataclasses.replace(rnd, hess_yy_parts=None)
-        hg, dense_hg = hypergradient(rnd, x, y), hypergradient(dense_rnd, x, y)
+        hg = hypergradient(rnd, x, y)
+        dense_hg = rnd.grad_x_f(x, y) + dense_M @ rnd.grad_y_f(x, y)
         assert np.linalg.norm(hg - dense_hg) <= 1e-12 * np.linalg.norm(dense_hg)
 
 
@@ -121,18 +95,15 @@ def _hess_diag(stream, x, y):
 
 
 def test_dense_hessian_built_from_parts():
-    """The dense hess_yy_g built from the parts is, bit for bit, the
-    regression round's np.outer(a, a) + np.diag(D) with a its training row
-    and D the family's diagonal, and the quadratic round's [[1]]."""
+    """The inner Hessian's parts (a, d), whose diag(d) + a a^T is the dense
+    Hessian, are bit for bit the regression round's training row and the
+    family's diagonal D, and the quadratic round's a = 0 and d = 1."""
     for stream, x, y in _structured_rounds():
-        a = stream.A_train[3]
-        expected = np.outer(a, a) + np.diag(_hess_diag(stream, x, y))
-        assert np.array_equal(stream[3].hess_yy_g(x, y), expected)
         parts = stream[3].hess_yy_parts(x, y)
-        assert np.array_equal(parts[0], a)
+        assert np.array_equal(parts[0], stream.A_train[3])
         assert np.array_equal(parts[1], _hess_diag(stream, x, y))
-    quad = quadratic_round(0.3, -0.4)
-    assert np.array_equal(quad.hess_yy_g(np.array([0.2]), np.array([0.5])), [[1.0]])
+    a, d = quadratic_round(0.3, -0.4).hess_yy_parts(np.array([0.2]), np.array([0.5]))
+    assert np.array_equal(a, [0.0]) and np.array_equal(d, [1.0])
 
 
 def test_sm_solve_rejects_nonpositive_diagonal():
@@ -144,13 +115,11 @@ def test_sm_solve_rejects_nonpositive_diagonal():
             sm_solve(a, np.array([1.0, bad]), np.ones(2))
     stream, x, y = _structured_rounds()[0]
     rnd = stream[3]
-    model = rnd.inner_model(x)
-    a, d = model.hess_parts(y)
-    # the Hessian handle Newton reads: the round's inner model
-    broken = dataclasses.replace(
-        rnd, inner_model=lambda x: model._replace(hess_parts=lambda z: (a, -d)))
+    a, d = rnd.hess_yy_parts(x, y)
+    # the solve Newton reads: the inner model's
+    broken = rnd.inner_model(x)._replace(solve=lambda z, rhs: sm_solve(a, -d, rhs))
     with pytest.raises(OracleDiverged, match="not finite and positive"):
-        newton_to_tolerance(broken, x, y, tol=1e-12)
+        newton_to_tolerance(broken, y, tol=1e-12)
 
 
 def _stacked(rounds):
@@ -167,8 +136,7 @@ def _stacked(rounds):
 
     return RoundFunctions(
         f=rows("f"), g=rows("g"), grad_x_f=rows("grad_x_f"), grad_y_f=rows("grad_y_f"),
-        grad_y_g=rows("grad_y_g"), jac_xy_g=rows("jac_xy_g"), hess_yy_g=rows("hess_yy_g"),
-        hess_yy_parts=parts,
+        grad_y_g=rows("grad_y_g"), jac_xy_g=rows("jac_xy_g"), hess_yy_parts=parts,
     )
 
 
@@ -222,12 +190,14 @@ def test_hypergradient_matches_composed_derivative_quadratic():
 
 def _coupled_round(c1: float, c2: float) -> RoundFunctions:
     """f = 0.5||y - c1 P x||^2 with P x = (x_1, x_2, 0),
-    g = 0.5 y^T H y - c2 x^T B y with fixed diagonal H and dense B.
+    g = 0.5 y^T H y - c2 x^T B y with fixed diagonal H (hess_yy_parts a = 0,
+    d = diag H) and dense B.
 
     y*(x) = c2 H^{-1} B^T x is linear, so central differences of the
     composed objective converge to the true hypergradient.
     """
-    H = np.diag([2.0, 3.0, 5.0])
+    h = np.array([2.0, 3.0, 5.0])
+    H = np.diag(h)
     B = np.array([[1.0, 0.5, -0.2], [0.0, 1.5, 0.7]])
     Hinv = np.linalg.inv(H)
 
@@ -244,7 +214,7 @@ def _coupled_round(c1: float, c2: float) -> RoundFunctions:
         grad_y_f=lambda x, y: y - c1 * lift(x),
         grad_y_g=lambda x, y: H @ y - c2 * B.T @ x,
         jac_xy_g=lambda x, y: -c2 * B,
-        hess_yy_g=lambda x, y: H,
+        hess_yy_parts=lambda x, y: (np.zeros(3), h),
         closed_form_y_star=y_star,
     )
 
@@ -335,8 +305,7 @@ def test_windowed_failure_names_offending_round():
     """A factorization failure inside the window is re-raised with the
     absolute round index of the offending term."""
     good = quadratic_round(0.0, 0.0)
-    bad = dataclasses.replace(good, hess_yy_g=lambda x, y: np.array([[-1.0]]),
-                              hess_yy_parts=None)
+    bad = dataclasses.replace(good, hess_yy_parts=lambda x, y: (np.zeros(1), np.array([-1.0])))
     rounds = (good, good, good, bad, good)
     window = make_weights("uniform", 3)
     with pytest.raises(FactorizationFailure) as info:

@@ -23,8 +23,9 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
 )
-from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity, stream_inner_gd
-from oagd.core import FeasibleSet
+from oagd import inner
+from oagd.core import FeasibleSet, InnerModel
+from oagd.inner import DEFAULT_K_MAX, inner_model_at, pgd_to_stationarity, stream_inner_gd
 
 
 def _diag_quadratic(diag) -> RoundFunctions:
@@ -37,7 +38,7 @@ def _diag_quadratic(diag) -> RoundFunctions:
         grad_y_f=lambda x, y: np.zeros_like(y),
         grad_y_g=lambda x, y: d * y,
         jac_xy_g=lambda x, y: np.zeros((1, d.size)),
-        hess_yy_g=lambda x, y: np.diag(d),
+        hess_yy_parts=lambda x, y: (np.zeros(d.size), d),
     )
 
 
@@ -64,7 +65,7 @@ def test_inner_gd_exact_step_for_unit_curvature():
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
         jac_xy_g=lambda x, y: np.zeros((1, 1)),
-        hess_yy_g=lambda x, y: np.eye(1),
+        hess_yy_parts=lambda x, y: (np.zeros(1), np.ones(1)),
     )
     out = inner_gd(rnd, np.zeros(1), np.zeros(1), beta=1.0, K=1)
     np.testing.assert_allclose(out, [c], atol=1e-15)
@@ -115,14 +116,13 @@ def test_newton_to_tolerance_reaches_residual():
     rng = np.random.default_rng(6)
     rnd = quadratic_round(0.4, -0.7)
     x = np.array([0.3])
-    out = newton_to_tolerance(rnd, x, rng.normal(size=1), tol=1e-12)
+    out = newton_to_tolerance(inner_model_at(rnd, x), rng.normal(size=1), tol=1e-12)
     np.testing.assert_allclose(out, rnd.closed_form_y_star(x), atol=1e-11)
     assert np.linalg.norm(rnd.grad_y_g(x, out)) <= 1e-12
 
 
-def test_newton_to_tolerance_nonquadratic():
-    """Smoothed absolute value g(y) = sqrt(y^2 + 0.01) + 0.5 (y - 1)^2 has a
-    curvature peak at 0 that a fixed step estimated elsewhere would miss."""
+def _smoothed_abs_round() -> RoundFunctions:
+    """g(y) = sqrt(y^2 + 0.01) + 0.5 (y - 1)^2, x unused; f = 0."""
     mu2 = 0.01
 
     def g(x, y):
@@ -131,20 +131,27 @@ def test_newton_to_tolerance_nonquadratic():
     def grad(x, y):
         return np.array([y[0] / np.sqrt(y[0] ** 2 + mu2) + (y[0] - 1.0)])
 
-    def hess(x, y):
-        return np.array([[mu2 / (y[0] ** 2 + mu2) ** 1.5 + 1.0]])
+    def hess_parts(x, y):
+        return np.zeros(1), np.array([mu2 / (y[0] ** 2 + mu2) ** 1.5 + 1.0])
 
-    rnd = RoundFunctions(
+    return RoundFunctions(
         f=lambda x, y: 0.0,
         g=g,
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
         jac_xy_g=lambda x, y: np.zeros((1, 1)),
-        hess_yy_g=hess,
+        hess_yy_parts=hess_parts,
     )
-    out = newton_to_tolerance(rnd, np.zeros(1), np.array([5.0]), tol=1e-10)
-    assert abs(grad(None, out)[0]) <= 1e-10
+
+
+def test_newton_to_tolerance_nonquadratic():
+    """The smoothed absolute value g(y) = sqrt(y^2 + 0.01) + 0.5 (y - 1)^2
+    has a curvature peak at 0 that a fixed step estimated elsewhere would
+    miss."""
+    rnd = _smoothed_abs_round()
+    out = newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), np.array([5.0]), tol=1e-10)
+    assert abs(rnd.grad_y_g(None, out)[0]) <= 1e-10
 
 
 def test_newton_to_tolerance_diverged_carries_residual():
@@ -157,11 +164,41 @@ def test_newton_to_tolerance_diverged_carries_residual():
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=lambda x, y: np.array([-1.0]),
         jac_xy_g=lambda x, y: np.zeros((1, 1)),
-        hess_yy_g=lambda x, y: np.zeros((1, 1)),
+        hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)),
         )
     with pytest.raises(OracleDiverged) as info:
-        newton_to_tolerance(rnd, np.zeros(1), np.zeros(1), tol=1e-10)
+        newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), np.zeros(1), tol=1e-10)
     assert info.value.residual == pytest.approx(1.0)
+
+
+def test_newton_to_tolerance_step_collapse():
+    """A model whose g is nan everywhere off the start point rejects every
+    trial step; once the step falls below 1e-18 Newton raises OracleDiverged
+    with the start point's residual."""
+    start = np.zeros(2)
+
+    def value_grad(z):
+        if np.array_equal(z, start):
+            return 1.0, np.array([3.0, 4.0])
+        return math.nan, np.full(2, math.nan)
+
+    model = InnerModel(value_grad, lambda z, rhs: rhs)
+    message = r"step collapsed below 1e-18 at residual 5\.000e\+00"
+    with pytest.raises(OracleDiverged, match=message) as info:
+        newton_to_tolerance(model, start, tol=1e-10)
+    assert info.value.residual == 5.0
+
+
+def test_newton_to_tolerance_iteration_cap(monkeypatch):
+    """With NEWTON_MAX_ITERS = 2, Newton on the smoothed absolute value from
+    y = 5 is still above tol after two accepted steps and raises
+    OracleDiverged naming the cap, with a residual below the start's."""
+    rnd = _smoothed_abs_round()
+    start = np.array([5.0])
+    monkeypatch.setattr(inner, "NEWTON_MAX_ITERS", 2)
+    with pytest.raises(OracleDiverged, match=r"above tol 1\.0e-10 after 2 iterations") as info:
+        newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), start, tol=1e-10)
+    assert 1e-10 < info.value.residual < abs(rnd.grad_y_g(None, start)[0])
 
 
 def _regression_tables(d2, seed):
@@ -178,7 +215,7 @@ def test_newton_to_tolerance_matches_ridge_closed_form():
         for t in (0, 5):
             for _ in range(3):
                 x = rng.uniform(-2.0, 2.0, size=d1)
-                out = newton_to_tolerance(stream[t], x, np.zeros(4), tol=1e-12)
+                out = newton_to_tolerance(stream[t].inner_model(x), np.zeros(4), tol=1e-12)
                 np.testing.assert_allclose(out, stream[t].closed_form_y_star(x), atol=1e-11)
 
 
@@ -191,18 +228,13 @@ def test_newton_to_tolerance_elastic_net_gradient_budget():
     for t in range(6):
         x = rng.uniform(-2.0, 2.0, size=10)
         calls = []
+        model = stream[t].inner_model(x)
 
-        def model(x, rnd=stream[t]):
-            m = rnd.inner_model(x)
+        def value_grad(z, model=model):
+            calls.append(1)
+            return model.value_grad(z)
 
-            def value_grad(z):
-                calls.append(1)
-                return m.value_grad(z)
-
-            return m._replace(value_grad=value_grad)
-
-        rnd = dataclasses.replace(stream[t], inner_model=model)
-        out = newton_to_tolerance(rnd, x, np.zeros(5), tol=1e-12)
+        out = newton_to_tolerance(model._replace(value_grad=value_grad), np.zeros(5), tol=1e-12)
         assert np.linalg.norm(stream[t].grad_y_g(x, out)) <= 1e-12
         assert len(calls) <= 50
 
@@ -227,8 +259,9 @@ def test_inner_model_matches_generic_adapter_bit_for_bit():
             generic = dataclasses.replace(rnd, inner_model=None)
             for _ in range(3):
                 x, y = rng.uniform(-1.5, 1.5, size=stream.d1), rng.normal(size=d2)
-                out = newton_to_tolerance(rnd, x, y, tol=1e-12)
-                assert np.array_equal(out, newton_to_tolerance(generic, x, y, tol=1e-12))
+                out = newton_to_tolerance(inner_model_at(rnd, x), y, tol=1e-12)
+                assert np.array_equal(out, newton_to_tolerance(inner_model_at(generic, x), y,
+                                                               tol=1e-12))
                 step = stream.inner_steps(t + 1, x, y, 0.05, 1)
                 assert np.array_equal(step, y - 0.05 * rnd.inner_model(x).value_grad(y)[1])
 

@@ -1,6 +1,7 @@
 """Tests for the comparator oracles, path lengths, regret series, and the
 aggregate report."""
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from oagd import (
     HOStream,
     InnerSchedule,
     NonConvexFlag,
+    OracleDiverged,
     RoundFunctions,
     StepSizeSchedule,
     comparator_series,
@@ -106,7 +108,7 @@ def test_outer_oracle_small_objective_from_box_edge():
         grad_y_f=lambda x, y: np.array([scale * (y[0] - center)]),
         grad_y_g=lambda x, y: np.array([y[0] - x[0]]),
         jac_xy_g=lambda x, y: np.array([[-1.0]]),
-        hess_yy_g=lambda x, y: np.array([[1.0]]),
+        hess_yy_parts=lambda x, y: (np.zeros(1), np.ones(1)),
     )
     fset = FeasibleSet.box([0.0], [3.0])
     out = outer_oracle(rnd, fset, tol=1e-10, x0=np.array([3.0]), y0=np.zeros(1))
@@ -237,6 +239,26 @@ def test_comparator_series_numeric_provenance():
     series = comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1))
     assert series.provenance == "mixed"
     np.testing.assert_allclose(series.x_star[:, 0], [0.1, 0.5], atol=1e-8)
+
+
+def test_oracle_failure_names_its_round():
+    """Round 3's inner Hessian diagonal is 0, so its Newton solve fails;
+    comparator_series and the per-round paths of h_estimate and
+    local_regret_series raise OracleDiverged with round_index 3 and the
+    finite residual Newton stopped at."""
+    bad = dataclasses.replace(_strip(quadratic_round(0.3, 0.5)),
+                              hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)))
+    rounds = [_strip(quadratic_round(0.1, 0.4)), _strip(quadratic_round(0.2, -0.3)), bad,
+              _strip(quadratic_round(0.0, 0.1))]
+    stream, fset = _ListStream(rounds), FeasibleSet.symmetric_box(1.0, 1)
+    trace = types.SimpleNamespace(T=4, d2=1, x=np.zeros((4, 1)))
+    for measure in (lambda: comparator_series(stream, fset),
+                    lambda: h_estimate(stream, fset, n_samples=4),
+                    lambda: local_regret_series(trace, stream, make_weights("uniform", 2))):
+        with pytest.raises(OracleDiverged, match="^round 3: inner oracle at residual") as info:
+            measure()
+        assert info.value.round_index == 3
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
 
 
 def test_attach_static_numeric_minimizes_average():
