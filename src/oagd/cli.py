@@ -547,19 +547,11 @@ def _meta_lines(cfg: ExperimentConfig, prep: _Prepared, window: WeightWindow,
     lines = [f"source_version = oagd {__version__}"]
     for f in fields(ExperimentConfig):
         lines.append(f"config.{f.name} = {getattr(cfg, f.name)}")
-    c = prep.constants
+    for prefix, obj in (("constants", prep.constants), ("derived", derived)):
+        for f in fields(obj):
+            lines.append(f"{prefix}.{f.name} = {getattr(obj, f.name)!r}")
     lines += [
-        f"constants.ell_f0 = {c.ell_f0!r}",
-        f"constants.ell_f1 = {c.ell_f1!r}",
-        f"constants.ell_g1 = {c.ell_g1!r}",
-        f"constants.ell_g2 = {c.ell_g2!r}",
-        f"constants.mu_g = {c.mu_g!r}",
-        f"constants.mu_f = {c.mu_f!r}",
-        f"derived.kappa_g = {derived.kappa_g!r}",
-        f"derived.L_y = {derived.L_y!r}",
-        f"derived.M_f = {derived.M_f!r}",
-        f"derived.L_f = {derived.L_f!r}",
-        f"schedule.alpha = {steps.label or steps.kind}",
+        f"schedule.alpha = {steps.label}",
         f"schedule.inner_kind = {inner.kind}",
         f"schedule.beta = {inner.beta!r}",
         f"schedule.k_max = {inner.k_max}",

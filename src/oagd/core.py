@@ -8,7 +8,7 @@ safe to share across concurrent runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -246,7 +246,6 @@ class RoundFunctions:
     closed_form_y_star: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_form_x_star: Optional[Callable[[], np.ndarray]] = None
     closed_form_x_partial: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = field(default="round")
 
 
 class InnerModel(NamedTuple):

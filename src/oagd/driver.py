@@ -3,7 +3,8 @@
 Each round t the learner plays the pair (x_t, y_t), the round's losses are
 revealed, the follower runs K_t warm-started gradient steps on g_t(x_t, .)
 to produce y_{t+1}, and the leader takes one projected step along the
-window-averaged hypergradient evaluated at (x_t, y_{t+1}).
+window-averaged hypergradient evaluated at (x_t, y_{t+1}), with the step
+size alpha_t of a StepSizeSchedule rule.
 
 The full-information benchmark instead jumps straight to the revealed
 round's solutions: y_{t+1} minimizes g_t(x_t, .) and x_{t+1} minimizes
@@ -31,97 +32,71 @@ def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
 
 @dataclass(frozen=True)
 class StepSizeSchedule:
-    """Outer step size rule alpha_t.
+    """Outer step size rule alpha_t = rule(t), with a label recording how
+    alpha was derived (meta.txt's schedule.alpha).
 
-    Kinds: constant; strongly_convex_static (2 / (mu_f t)); convex_static
-    (D / (ell_f0 sqrt(t))); custom. The regime factories bake in the
-    corresponding constants and record how alpha was derived in `label`.
+    The regime factories check their constants and fix the formula once:
+    constant; strongly_convex_dynamic (4c/mu_f); strongly_convex_static
+    (2 / (mu_f t)); convex_dynamic (1 / (2 L_f^2)); convex_static
+    (D / (ell_f0 sqrt(t))); nonconvex (alpha <= 1/(3 L_f)); custom.
     """
 
-    kind: str
-    alpha: Optional[float] = None
-    mu_f: Optional[float] = None
-    D: Optional[float] = None
-    ell_f0: Optional[float] = None
-    fn: Optional[Callable[[int], float]] = None
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kind == "constant":
-            if self.alpha is None or self.alpha < 0:
-                raise ValueError("constant schedule needs alpha >= 0")
-        elif self.kind == "strongly_convex_static":
-            if self.mu_f is None or self.mu_f <= 0:
-                raise ValueError("strongly_convex_static needs mu_f > 0")
-        elif self.kind == "convex_static":
-            if self.D is None or self.D <= 0 or self.ell_f0 is None or self.ell_f0 <= 0:
-                raise ValueError("convex_static needs D > 0 and ell_f0 > 0")
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom schedule needs a callable")
-        else:
-            raise ValueError(f"unknown step size kind {self.kind!r}")
+    rule: Callable[[int], float]
+    label: str
 
     def alpha_at(self, t: int) -> float:
         if t < 1:
             raise ValueError("round index must be >= 1")
-        if self.kind == "constant":
-            return self.alpha
-        if self.kind == "strongly_convex_static":
-            return 2.0 / (self.mu_f * t)
-        if self.kind == "convex_static":
-            return self.D / (self.ell_f0 * np.sqrt(t))
-        return float(self.fn(t))
+        return self.rule(t)
 
     @staticmethod
     def constant(alpha: float, label: str = "constant") -> "StepSizeSchedule":
-        return StepSizeSchedule(kind="constant", alpha=float(alpha), label=label)
+        alpha = float(alpha)
+        if alpha < 0:
+            raise ValueError("constant schedule needs alpha >= 0")
+        return StepSizeSchedule(lambda t: alpha, label)
 
     @staticmethod
     def strongly_convex_dynamic(mu_f: float, constants: DerivedConstants) -> "StepSizeSchedule":
+        if mu_f <= 0:
+            raise ValueError("strongly_convex_dynamic needs mu_f > 0")
         c = strongly_convex_c(mu_f, constants)
-        return StepSizeSchedule(
-            kind="constant",
-            alpha=4.0 * c / mu_f,
-            mu_f=mu_f,
-            label=f"strongly_convex_dynamic alpha=4c/mu_f, c={c:.6g}",
-        )
+        return StepSizeSchedule.constant(
+            4.0 * c / mu_f, label=f"strongly_convex_dynamic alpha=4c/mu_f, c={c:.6g}")
 
     @staticmethod
     def strongly_convex_static(mu_f: float) -> "StepSizeSchedule":
-        return StepSizeSchedule(
-            kind="strongly_convex_static", mu_f=float(mu_f),
-            label="strongly_convex_static alpha_t=2/(mu_f t)",
-        )
+        mu_f = float(mu_f)
+        if mu_f <= 0:
+            raise ValueError("strongly_convex_static needs mu_f > 0")
+        return StepSizeSchedule(lambda t: 2.0 / (mu_f * t),
+                                "strongly_convex_static alpha_t=2/(mu_f t)")
 
     @staticmethod
     def convex_dynamic(constants: DerivedConstants) -> "StepSizeSchedule":
-        return StepSizeSchedule(
-            kind="constant",
-            alpha=1.0 / (2.0 * constants.L_f**2),
-            label="convex_dynamic alpha=1/(2 L_f^2)",
-        )
+        return StepSizeSchedule.constant(1.0 / (2.0 * constants.L_f**2),
+                                         label="convex_dynamic alpha=1/(2 L_f^2)")
 
     @staticmethod
     def convex_static(D: float, ell_f0: float) -> "StepSizeSchedule":
-        return StepSizeSchedule(
-            kind="convex_static", D=float(D), ell_f0=float(ell_f0),
-            label="convex_static alpha_t=D/(ell_f0 sqrt(t))",
-        )
+        D, ell_f0 = float(D), float(ell_f0)
+        if D <= 0 or ell_f0 <= 0:
+            raise ValueError("convex_static needs D > 0 and ell_f0 > 0")
+        return StepSizeSchedule(lambda t: D / (ell_f0 * np.sqrt(t)),
+                                "convex_static alpha_t=D/(ell_f0 sqrt(t))")
 
     @staticmethod
     def nonconvex(alpha: float, constants: DerivedConstants) -> "StepSizeSchedule":
         cap = 1.0 / (3.0 * constants.L_f)
         if alpha > cap * (1.0 + 1e-12):
             raise ValueError(f"nonconvex schedule requires alpha <= 1/(3 L_f) = {cap:.6g}")
-        return StepSizeSchedule(
-            kind="constant", alpha=float(alpha),
-            label=f"nonconvex constant alpha<=1/(3 L_f)={cap:.6g}",
-        )
+        return StepSizeSchedule.constant(alpha, label=f"nonconvex constant alpha<=1/(3 L_f)={cap:.6g}")
 
     @staticmethod
     def custom(fn: Callable[[int], float], label: str = "custom") -> "StepSizeSchedule":
-        return StepSizeSchedule(kind="custom", fn=fn, label=label)
+        if not callable(fn):
+            raise ValueError("custom schedule needs a callable")
+        return StepSizeSchedule(lambda t: float(fn(t)), label)
 
 
 @dataclass
@@ -200,8 +175,11 @@ def oagd_run(
 ) -> Trace:
     """Run the online alternating loop for T rounds and return the trace.
 
-    `constants` feeds the theorem-derived K_t rules; it may be omitted for
-    fixed or custom inner schedules. The follower's steps go through
+    `constants` feeds the theorem-derived K_t rules, which raise ValueError
+    at round 1 without it; fixed and custom inner schedules never read it.
+    The loop runs with numpy's overflow and invalid warnings off: a
+    non-finite iterate is reported, with its round, by the loop's own
+    checks (NonFiniteIterate). The follower's steps go through
     stream_inner_gd and the window average through
     stream_windowed_hypergradient (each takes the stream's fast path when
     it has one). f_value and inner_residual are filled after the loop
@@ -212,33 +190,33 @@ def oagd_run(
     y = np.asarray(init.y, dtype=float).copy()
     if not fset.contains(x, atol=1e-12):
         raise ValueError("init.x lies outside the feasible set")
-    if constants is None and inner.kind not in ("fixed", "custom"):
-        raise ValueError(f"inner schedule kind {inner.kind!r} needs derived constants")
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
-    for t in range(1, T + 1):
-        t0 = time.perf_counter_ns()
-        K_t, capped = k_for_round(inner, constants, t)
-        if capped:
-            trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
-        try:
-            y_next = stream_inner_gd(stream, t, x, y, inner.beta, K_t)
-        except NonFiniteIterate as exc:
-            raise NonFiniteIterate(str(exc), round_index=t) from exc
-        hg = stream_windowed_hypergradient(stream, t, window, x, y_next)
-        alpha_t = steps.alpha_at(t)
-        x_next = project(fset, x - alpha_t * hg)
-        if not (np.isfinite(hg).all() and np.isfinite(x_next).all()):
-            raise NonFiniteIterate("outer iterate became non-finite", round_index=t)
-        i = t - 1
-        trace.x[i] = x
-        trace.y[i] = y
-        trace.y_after_inner[i] = y_next
-        trace.hypergrad[i] = hg
-        trace.alpha[i] = alpha_t
-        trace.beta[i] = inner.beta
-        trace.K[i] = K_t
-        trace.wall_nanos[i] = time.perf_counter_ns() - t0
-        x, y = x_next, y_next
+    # overflow and nan surface through the loop's own finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            t0 = time.perf_counter_ns()
+            K_t, capped = k_for_round(inner, constants, t)
+            if capped:
+                trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
+            try:
+                y_next = stream_inner_gd(stream, t, x, y, inner.beta, K_t)
+            except NonFiniteIterate as exc:
+                raise NonFiniteIterate(str(exc), round_index=t) from exc
+            hg = stream_windowed_hypergradient(stream, t, window, x, y_next)
+            alpha_t = steps.alpha_at(t)
+            x_next = project(fset, x - alpha_t * hg)
+            if not (np.isfinite(hg).all() and np.isfinite(x_next).all()):
+                raise NonFiniteIterate("outer iterate became non-finite", round_index=t)
+            i = t - 1
+            trace.x[i] = x
+            trace.y[i] = y
+            trace.y_after_inner[i] = y_next
+            trace.hypergrad[i] = hg
+            trace.alpha[i] = alpha_t
+            trace.beta[i] = inner.beta
+            trace.K[i] = K_t
+            trace.wall_nanos[i] = time.perf_counter_ns() - t0
+            x, y = x_next, y_next
     trace.final_x = x
     trace.final_y = y
     _measure_rounds(stream, trace)

@@ -1,6 +1,6 @@
 """The follower's update: K steps of gradient descent on g_t(x, .) warm
-started from the previous inner decision, plus the schedule rules that pick
-beta and K_t per regime.
+started from the previous inner decision, plus InnerSchedule, which pairs
+beta with one rule for K_t per regime.
 
 With beta = 2/(ell_g1 + mu_g) the iterates contract toward y*(x) at rate
 (1 - 1/(kappa_g + 1)) per step, so K = ceil((kappa_g + 1) log(1/rho^2) / 2)
@@ -214,38 +214,23 @@ def pgd_to_stationarity(
 class InnerSchedule:
     """Inner step size beta and the rule K_t for per-round iteration counts.
 
-    kind is one of fixed / strongly_convex / strongly_convex_static /
-    convex_log_t / nonconvex / custom. The theorem-derived constructors set
-    beta = 2/(ell_g1 + mu_g); overriding beta is allowed but off-schedule.
+    rule(constants, t) gives round t's raw count, which k_for_round floors
+    at 1 and caps at k_max; kind names the rule in meta.txt. The factories
+    check their parameters and fix the rule once: fixed and custom never
+    read constants; the theorem-derived rules (strongly_convex,
+    strongly_convex_static, convex_log_t, nonconvex) need DerivedConstants.
+    theorem_beta gives their beta = 2/(ell_g1 + mu_g); overriding beta is
+    allowed but off-schedule.
     """
 
     beta: float
     kind: str
-    K: Optional[int] = None
-    c: Optional[float] = None
-    W: Optional[float] = None
-    alpha: Optional[float] = None
-    fn: Optional[Callable[[int], int]] = None
+    rule: Callable[[Optional[DerivedConstants], int], int]
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.kind not in (
-            "fixed",
-            "strongly_convex",
-            "strongly_convex_static",
-            "convex_log_t",
-            "nonconvex",
-            "custom",
-        ):
-            raise ValueError(f"unknown inner schedule kind {self.kind!r}")
-        if self.kind == "fixed" and (self.K is None or self.K < 1):
-            raise ValueError("fixed schedule needs K >= 1")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom schedule needs a callable")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("c must be positive")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
@@ -255,64 +240,76 @@ class InnerSchedule:
 
     @staticmethod
     def fixed(beta: float, K: int, k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
-        return InnerSchedule(beta=beta, kind="fixed", K=K, k_max=k_max)
+        if K < 1:
+            raise ValueError("fixed schedule needs K >= 1")
+        return InnerSchedule(beta, "fixed", lambda constants, t: K, k_max)
 
     @staticmethod
     def strongly_convex(beta: float, c: float, k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
         """Constant K for the strongly convex dynamic regime (parameter c
         matches the outer step alpha = 4c/mu_f)."""
-        return InnerSchedule(beta=beta, kind="strongly_convex", c=c, k_max=k_max)
+        if c <= 0:
+            raise ValueError("c must be positive")
+        return _contraction_schedule(
+            beta, "strongly_convex", lambda d, t: 12.0 * d.M_f**2 * (1.0 + 1.0 / c) + 2.0, k_max)
 
     @staticmethod
     def strongly_convex_static(beta: float, mu_f: float, k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
         """Constant K for the strongly convex static regime; the formula's
         log argument 72 L_y^2 M_f^2 / mu_f + mu_f / 2 is implemented verbatim."""
-        return InnerSchedule(beta=beta, kind="strongly_convex_static", c=mu_f, k_max=k_max)
+        if mu_f <= 0:
+            raise ValueError("mu_f must be positive")
+        return _contraction_schedule(
+            beta, "strongly_convex_static",
+            lambda d, t: 72.0 * d.L_y**2 * d.M_f**2 / mu_f + mu_f / 2.0, k_max)
 
     @staticmethod
     def convex_log_t(beta: float, k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
-        return InnerSchedule(beta=beta, kind="convex_log_t", k_max=k_max)
+        return _contraction_schedule(beta, "convex_log_t", lambda d, t: 4.0 * t * t, k_max)
 
     @staticmethod
     def nonconvex(beta: float, alpha: float, W: float, k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
-        return InnerSchedule(beta=beta, kind="nonconvex", alpha=alpha, W=W, k_max=k_max)
+        def log_arg(d: DerivedConstants, t: int) -> float:
+            c = 3.0 * (1.0 + d.L_y**2 * d.M_f**2 * alpha**2)
+            return max(6.0 * c, W)
+
+        return _contraction_schedule(beta, "nonconvex", log_arg, k_max)
 
     @staticmethod
     def custom(beta: float, fn: Callable[[int], int], k_max: int = DEFAULT_K_MAX) -> "InnerSchedule":
-        return InnerSchedule(beta=beta, kind="custom", fn=fn, k_max=k_max)
+        if not callable(fn):
+            raise ValueError("custom schedule needs a callable")
+        return InnerSchedule(beta, "custom", lambda constants, t: fn(t), k_max)
+
+
+def _contraction_schedule(beta: float, kind: str,
+                          log_arg: Callable[[DerivedConstants, int], float],
+                          k_max: int) -> InnerSchedule:
+    """A theorem-derived schedule: K_t = ceil((kappa_g + 1) log(arg) / 2)
+    with arg = log_arg(constants, t), enough contracting steps to shrink the
+    warm-start error by sqrt(arg). Its rule raises ValueError without
+    constants."""
+
+    def rule(constants: Optional[DerivedConstants], t: int) -> int:
+        if constants is None:
+            raise ValueError(f"inner schedule kind {kind!r} needs derived constants")
+        return math.ceil(0.5 * (constants.kappa_g + 1.0) * math.log(log_arg(constants, t)))
+
+    return InnerSchedule(beta, kind, rule, k_max)
 
 
 def k_for_round(schedule: InnerSchedule, constants: Optional[DerivedConstants],
                 t: int) -> tuple[int, bool]:
     """Iteration count K_t for round t under the schedule rule.
 
-    Returns (K_t, capped): capped is True when the formula exceeded k_max and
+    Returns (K_t, capped): capped is True when the rule exceeded k_max and
     was clamped (off-schedule, recorded by the driver as a warning).
     Every rule yields K_t >= 1. constants may be None for the fixed and
     custom rules, which never read it.
     """
     if t < 1:
         raise ValueError("round index must be >= 1")
-    kappa = constants.kappa_g if constants is not None else None
-    if schedule.kind == "fixed":
-        k = schedule.K
-    elif schedule.kind == "strongly_convex":
-        arg = 12.0 * constants.M_f**2 * (1.0 + 1.0 / schedule.c) + 2.0
-        k = math.ceil(0.5 * (kappa + 1.0) * math.log(arg))
-    elif schedule.kind == "strongly_convex_static":
-        mu_f = schedule.c
-        arg = 72.0 * constants.L_y**2 * constants.M_f**2 / mu_f + mu_f / 2.0
-        k = math.ceil(0.5 * (kappa + 1.0) * math.log(arg))
-    elif schedule.kind == "convex_log_t":
-        k = math.ceil(0.5 * (kappa + 1.0) * math.log(4.0 * t * t))
-    elif schedule.kind == "nonconvex":
-        c = 3.0 * (1.0 + constants.L_y**2 * constants.M_f**2 * schedule.alpha**2)
-        k = math.ceil(0.5 * (kappa + 1.0) * math.log(max(6.0 * c, schedule.W)))
-    elif schedule.kind == "custom":
-        k = int(schedule.fn(t))
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(schedule.kind)
-    k = max(int(k), 1)
+    k = max(int(schedule.rule(constants, t)), 1)
     if k > schedule.k_max:
         return schedule.k_max, True
     return k, False

@@ -86,7 +86,6 @@ def quadratic_round(
     a3: float = 0.0,
     a4: float = 0.0,
     fset: Optional[FeasibleSet] = None,
-    label: str = "quadratic",
 ) -> RoundFunctions:
     """One round of the scalar quadratic family; see the module docstring."""
     a1, a2, a3, a4 = float(a1), float(a2), float(a3), float(a4)
@@ -110,7 +109,6 @@ def quadratic_round(
         closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
         closed_form_x_partial=lambda y: project(fset, np.array([-2.0 * a1])),
-        label=label,
     )
 
 
@@ -144,8 +142,7 @@ class QuadraticStream:
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return quadratic_round(self.a1[i], self.a2[i], self.a3[i], self.a4[i], fset=self.fset,
-                               label=f"quadratic t={i + 1}")
+        return quadratic_round(self.a1[i], self.a2[i], self.a3[i], self.a4[i], fset=self.fset)
 
     def stacked_round(self, T: int, start: int = 0) -> RoundFunctions:
         """Rounds start + 1..T as one RoundFunctions over a leading round
@@ -191,7 +188,6 @@ class QuadraticStream:
             closed_form_y_star=closed_form_y_star,
             closed_form_x_star=lambda: project(fset, a2c - a1c),
             closed_form_x_partial=lambda y: project(fset, -2.0 * a1c),
-            label=f"quadratic t={start + 1}..{T}",
         )
 
     def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
@@ -414,7 +410,6 @@ class HOStream:
             # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
             closed_form_y_star=None if self.smoothing else (
                 lambda x: sm_solve(a, self._penalty(3, x, None), rhs)),
-            label=f"{'elastic_net' if self.smoothing else 'ho'} t={i + 1}",
         )
 
     def full_batch_model(self, A, b, x) -> InnerModel:

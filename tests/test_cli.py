@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oagd import ConfigError, EmptyDataset, NonConvexFlag, ParseError, regret
+from oagd import (ConfigError, EmptyDataset, InnerSchedule, NonConvexFlag, ParseError,
+                  k_for_round, regret)
 from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -291,7 +292,11 @@ def test_initial_pair_from_config():
 def test_build_schedules_regime_defaults():
     """Without alpha and K overrides each regime takes its theorem step
     size and K rule; on the quadratic family (mu_f = 1, L_f = 4,
-    ell_f0 = 5, D = 2) those are 2/t, 1/32, 2/(5 sqrt(t)) and 1/12."""
+    ell_f0 = 5, D = 2) those are 2/t, 1/32, 2/(5 sqrt(t)) and 1/12. The
+    nonconvex K_t rule reads alpha_1 = 1/12 and the window's W = 30: it
+    matches the rule built from them, and not one built with another W or
+    alpha, at constants where W decides (M_f = 0) and where alpha decides
+    (M_f = 100)."""
     cases = {
         "strongly_convex_static": (lambda t: 2.0 / t, "strongly_convex_static"),
         "convex_dynamic": (lambda t: 1.0 / 32.0, "convex_log_t"),
@@ -301,13 +306,18 @@ def test_build_schedules_regime_defaults():
     for regime, (alpha, inner_kind) in cases.items():
         cfg = _base_cfg(regime=regime, alpha=None, beta=None, K=None)
         prep = prepare(cfg)
-        window = make_weights("uniform", 3)
-        steps, inner, _ = build_schedules(cfg, prep, window)
+        window = make_weights("uniform", 30)
+        steps, inner, derived = build_schedules(cfg, prep, window)
         assert prep.notes == [], regime
         for t in (1, 4, 9):
             assert steps.alpha_at(t) == pytest.approx(alpha(t), rel=1e-15), regime
         assert inner.kind == inner_kind and inner.beta == 1.0, regime
-    assert inner.alpha == pytest.approx(1.0 / 12.0, rel=1e-15) and inner.W == 3.0
+    ref = InnerSchedule.nonconvex(1.0, 1.0 / 12.0, 30.0)
+    for M_f, other in ((0.0, InnerSchedule.nonconvex(1.0, 1.0 / 12.0, 3.0)),
+                       (100.0, InnerSchedule.nonconvex(1.0, 0.0, 30.0))):
+        probe = dataclasses.replace(derived, kappa_g=100.0, M_f=M_f)
+        assert (k_for_round(inner, probe, 1) == k_for_round(ref, probe, 1)
+                != k_for_round(other, probe, 1)), M_f
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -480,8 +490,7 @@ def test_main_run_reports_outer_overflow_with_its_round(tmp_path, capsys):
     text = (QUAD_CFG.format(out=tmp_path / "of").replace("alpha = 0.2", "alpha = 1e200")
             + "quad_a1_mode = zero\nset_kind = unbounded\nD = 1\n")
     path = _write(tmp_path / "of.cfg", text)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", path]) == 1
+    assert main(["run", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "error_category=NonFiniteIterate" in err
     assert "round 2: outer iterate became non-finite" in err

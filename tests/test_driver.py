@@ -153,7 +153,7 @@ def test_infeasible_init_rejected():
 
 def test_theorem_schedules_require_constants():
     stream = quadratic_stream("constant", T=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'convex_log_t' needs derived constants"):
         oagd_run(
             stream,
             DecisionPair(x=np.zeros(1), y=np.zeros(1)),
@@ -179,6 +179,23 @@ def test_capped_inner_iterations_are_recorded():
     )
     assert np.all(tr.K <= 3)
     assert any("capped" in w for w in tr.warnings)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StepSizeSchedule.constant(-0.1), "needs alpha >= 0"),
+    (lambda: StepSizeSchedule.strongly_convex_dynamic(0.0, DERIVED), "needs mu_f > 0"),
+    (lambda: StepSizeSchedule.strongly_convex_static(-1.0), "needs mu_f > 0"),
+    (lambda: StepSizeSchedule.convex_static(0.0, 5.0), "needs D > 0 and ell_f0 > 0"),
+    (lambda: StepSizeSchedule.convex_static(2.0, -5.0), "needs D > 0 and ell_f0 > 0"),
+    (lambda: StepSizeSchedule.custom(None), "needs a callable"),
+    (lambda: StepSizeSchedule.constant(0.3).alpha_at(0), "round index must be >= 1"),
+    (lambda: InnerSchedule.strongly_convex(1.0, c=0.0), "c must be positive"),
+    (lambda: InnerSchedule.strongly_convex_static(1.0, mu_f=-1.0), "mu_f must be positive"),
+    (lambda: InnerSchedule.convex_log_t(1.0, k_max=0), "k_max must be >= 1"),
+])
+def test_schedule_factories_reject_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_step_schedule_constant_and_custom():

@@ -294,6 +294,37 @@ def test_pgd_to_stationarity_unconstrained_quadratic():
     np.testing.assert_allclose(out, np.linalg.solve(A, b), atol=1e-9)
 
 
+def test_pgd_to_stationarity_stall():
+    """A value that is nan everywhere off the start point rejects every
+    trial step (and, once the Armijo decrease is below float64 resolution,
+    so does the nan gradient there); once the step falls below 1e-18 PGD
+    raises OracleDiverged with the start point's residual."""
+    start = np.zeros(2)
+
+    def off_start(v, at_start):
+        return at_start if np.array_equal(v, start) else np.full_like(np.asarray(at_start), math.nan)
+
+    message = r"projected gradient stalled with residual 5\.000e\+00 above tol 1\.0e-10"
+    with pytest.raises(OracleDiverged, match=message) as info:
+        pgd_to_stationarity(lambda v: float(off_start(v, 1.0)),
+                            lambda v: off_start(v, np.array([3.0, 4.0])),
+                            FeasibleSet.unbounded(), start, tol=1e-10)
+    assert info.value.residual == 5.0
+
+
+def test_pgd_to_stationarity_iteration_cap(monkeypatch):
+    """With PGD_MAX_ITERS = 2, PGD on an ill-conditioned quadratic is still
+    above tol after two iterations and raises OracleDiverged naming the
+    cap, with a finite residual above tol."""
+    A = np.diag([1.0, 4.0, 9.0])
+    b = np.array([1.0, -2.0, 0.5])
+    monkeypatch.setattr(inner, "PGD_MAX_ITERS", 2)
+    with pytest.raises(OracleDiverged, match=r"still above tol 1\.0e-10 after 2 iterations") as info:
+        pgd_to_stationarity(lambda v: 0.5 * float(v @ A @ v) - float(b @ v), lambda v: A @ v - b,
+                            FeasibleSet.unbounded(), np.zeros(3), tol=1e-10)
+    assert math.isfinite(info.value.residual) and info.value.residual > 1e-10
+
+
 QUAD_DERIVED = derive_constants(
     ProblemConstants(ell_f0=5.0, ell_f1=1.0, ell_g1=1.0, ell_g2=0.0, mu_g=1.0)
 )
@@ -355,9 +386,7 @@ def test_inner_schedule_validation():
     with pytest.raises(ValueError):
         InnerSchedule.fixed(beta=1.0, K=0)
     with pytest.raises(ValueError):
-        InnerSchedule(beta=1.0, kind="warm")
-    with pytest.raises(ValueError):
-        InnerSchedule(beta=1.0, kind="custom")
+        InnerSchedule.custom(beta=1.0, fn=None)
     assert InnerSchedule.theorem_beta(3.0, 1.0) == pytest.approx(0.5)
     assert InnerSchedule.fixed(beta=1.0, K=2).k_max == DEFAULT_K_MAX
 

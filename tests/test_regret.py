@@ -191,7 +191,8 @@ def test_stacked_quadratic_measurement_matches_per_round():
     oagd_run, full_info_run and local_regret_series give what the
     per-round path gives over the first T = 25 of 40 rounds: comparators
     exactly and their values within 1e-15 relative; both drivers' traces
-    bit for bit except wall_nanos; local regret bit for bit at w = 1 and
+    bit for bit except wall_nanos, and the stacked g on the trace's rows bit
+    for bit; local regret bit for bit at w = 1 and
     within 1e-15 relative for longer windows, whose sums run in another
     order."""
     T = 25
@@ -214,6 +215,9 @@ def test_stacked_quadratic_measurement_matches_per_round():
         run = (init, fset, windows[3], StepSizeSchedule.constant(0.3),
                InnerSchedule.fixed(beta=0.5, K=3))
         trace = oagd_run(stream, *run, T=T)
+        x, y = trace.x, trace.y_after_inner
+        _assert_same_bits(stream.stacked_round(T).g(x, y),
+                          [stream[i].g(x[i], y[i]) for i in range(T)], "g")
         for got, ref in ((trace, oagd_run(per_round, *run, T=T)),
                          (full_info_run(stream, init, T), full_info_run(per_round, init, T))):
             for name in TRACE_FIELDS:
