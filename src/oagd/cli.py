@@ -142,67 +142,72 @@ def load_csv(path, label_column: Optional[str] = None,
     )
 
 
+#: each numeric domain's wording in errors, and its test
+_NUMERIC_DOMAINS = {
+    "positive": ("positive", lambda v: v > 0),
+    "non-negative": ("non-negative", lambda v: v >= 0),
+    "unit": ("in (0, 1)", lambda v: 0 < v < 1),
+}
+
+
+def _key(default, domain=None):
+    """A config field whose value, unless None, lies in `domain`: a tuple
+    of choices or a _NUMERIC_DOMAINS name. A float value is always finite."""
+    return field(default=default, metadata={"domain": domain})
+
+
 @dataclass
 class ExperimentConfig:
-    problem: str = ""
-    T: int = 0
-    regime: str = ""
+    problem: str = _key("", ("quadratic", "ho", "elastic_net", "synthetic"))
+    T: int = _key(0, "positive")
+    regime: str = _key("", ("strongly_convex", "strongly_convex_static",
+                            "convex_dynamic", "convex_static", "nonconvex"))
     output: str = ""
     window_w: str = "1"
-    window_kind: str = "uniform"
-    window_gamma: Optional[float] = None
-    quad_rule: str = "alt_sqrt"
-    quad_a1_mode: str = "match"
+    window_kind: str = _key("uniform", ("uniform", "exponential"))
+    window_gamma: Optional[float] = _key(None, "unit")
+    # quadratic_stream's "custom" rule takes coefficient tables a config cannot give
+    quad_rule: str = _key("alt_sqrt", ("alt_sqrt", "constant"))
+    quad_a1_mode: str = _key("match", ("match", "zero"))
     quad_a1_const: float = 0.0
     quad_a2_const: float = 0.0
     dataset: str = ""
     label_column: str = ""
-    shuffle_seed: Optional[int] = None
-    mu_smooth: Optional[float] = None
-    d1: Optional[int] = None
-    d2: Optional[int] = None
-    synthetic_stages: int = 1
-    noise_max: float = 0.1
-    set_kind: str = ""
+    shuffle_seed: Optional[int] = _key(None, "non-negative")
+    mu_smooth: Optional[float] = _key(None, "positive")
+    d1: Optional[int] = _key(None, "positive")
+    d2: Optional[int] = _key(None, "positive")
+    synthetic_stages: int = _key(1, "positive")
+    noise_max: float = _key(0.1, "non-negative")
+    set_kind: str = _key("", ("", "box", "ball", "unbounded"))
     set_lower: str = ""
     set_upper: str = ""
-    set_half_width: Optional[float] = None
+    set_half_width: Optional[float] = _key(None, "non-negative")
     set_center: str = ""
-    set_radius: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    K: Optional[int] = None
-    k_max: int = 10_000
-    mu_f: Optional[float] = None
-    D: Optional[float] = None
+    set_radius: Optional[float] = _key(None, "positive")
+    alpha: Optional[float] = _key(None, "non-negative")
+    beta: Optional[float] = _key(None, "positive")
+    K: Optional[int] = _key(None, "positive")
+    k_max: int = _key(10_000, "positive")
+    mu_f: Optional[float] = _key(None, "positive")
+    D: Optional[float] = _key(None, "positive")
     x_low: float = -3.0
     x_high: float = 3.0
-    y_bound: float = 10.0
-    oracle_tol: float = 1e-10
-    h_samples: int = 128
+    y_bound: float = _key(10.0, "non-negative")
+    oracle_tol: float = _key(1e-10, "positive")
+    h_samples: int = _key(128, "positive")
     report_static: bool = True
     report_local: bool = True
     report_h: bool = True
-    seed: int = 0
+    seed: int = _key(0, "non-negative")
     init_x: str = ""
     init_y: str = ""
-    baseline: str = "none"
+    baseline: str = _key("none", ("none", "full_info"))
 
     def resolved_window(self) -> int:
         if self.window_w.strip().upper() == "T":
             return self.T
         return int(self.window_w)
-
-
-_PROBLEMS = ("quadratic", "ho", "elastic_net", "synthetic")
-# quadratic_stream's "custom" rule takes coefficient tables a config cannot give
-_QUAD_RULES = ("alt_sqrt", "constant")
-_QUAD_A1_MODES = ("match", "zero")
-_BASELINES = ("none", "full_info")
-_REGIMES = (
-    "strongly_convex", "strongly_convex_static",
-    "convex_dynamic", "convex_static", "nonconvex",
-)
 
 
 def _config_types() -> dict:
@@ -271,45 +276,28 @@ def _check_window(w: str, name: str):
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.problem not in _PROBLEMS:
-        raise ConfigError(f"problem must be one of {_PROBLEMS}, got {cfg.problem!r}")
-    if cfg.T < 1:
-        raise ConfigError(f"T must be a positive integer, got {cfg.T}")
-    if cfg.regime not in _REGIMES:
-        raise ConfigError(f"regime must be one of {_REGIMES}, got {cfg.regime!r}")
+    """Every key's value against its declared domain, set or not, then
+    the rules that tie keys together."""
+    for f in fields(ExperimentConfig):
+        value, domain = getattr(cfg, f.name), f.metadata.get("domain")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if value is None or domain is None:
+            continue
+        if isinstance(domain, tuple):
+            if value not in domain:
+                raise ConfigError(f"{f.name} must be one of {domain}, got {value!r}")
+        elif not _NUMERIC_DOMAINS[domain][1](value):
+            raise ConfigError(f"{f.name} must be {_NUMERIC_DOMAINS[domain][0]}, got {value!r}")
     _check_window(cfg.window_w.strip(), "window_w")
-    if cfg.window_kind not in ("uniform", "exponential"):
-        raise ConfigError(f"window_kind must be uniform or exponential, got {cfg.window_kind!r}")
     if cfg.window_kind == "exponential" and cfg.window_gamma is None:
         raise ConfigError("exponential windows need window_gamma in (0, 1)")
-    if cfg.quad_rule not in _QUAD_RULES:
-        raise ConfigError(f"quad_rule must be one of {_QUAD_RULES}, got {cfg.quad_rule!r}")
-    if cfg.quad_a1_mode not in _QUAD_A1_MODES:
-        raise ConfigError(
-            f"quad_a1_mode must be one of {_QUAD_A1_MODES}, got {cfg.quad_a1_mode!r}"
-        )
     if cfg.problem in ("ho", "elastic_net") and not cfg.dataset:
         raise ConfigError(f"problem {cfg.problem} needs a dataset path")
-    if cfg.problem == "elastic_net" and (cfg.mu_smooth is None or cfg.mu_smooth <= 0):
-        raise ConfigError("elastic_net needs mu_smooth > 0")
-    if cfg.problem == "synthetic" and not cfg.d2:
+    if cfg.problem == "elastic_net" and cfg.mu_smooth is None:
+        raise ConfigError("elastic_net needs mu_smooth")
+    if cfg.problem == "synthetic" and cfg.d2 is None:
         raise ConfigError("synthetic problem needs d2")
-    if cfg.synthetic_stages < 1:
-        raise ConfigError(f"synthetic_stages must be a positive integer, got {cfg.synthetic_stages}")
-    if not cfg.noise_max >= 0:
-        raise ConfigError(f"noise_max must be non-negative, got {cfg.noise_max:g}")
-    if cfg.mu_f is not None and not cfg.mu_f > 0:
-        raise ConfigError(f"mu_f must be positive when set, got {cfg.mu_f:g}")
-    if not cfg.y_bound >= 0:
-        raise ConfigError(f"y_bound must be non-negative, got {cfg.y_bound:g}")
-    if cfg.set_kind and cfg.set_kind not in ("box", "ball", "unbounded"):
-        raise ConfigError(f"set_kind must be box, ball, or unbounded, got {cfg.set_kind!r}")
-    if cfg.h_samples < 1:
-        raise ConfigError(f"h_samples must be a positive integer, got {cfg.h_samples}")
-    if not cfg.oracle_tol > 0:
-        raise ConfigError(f"oracle_tol must be positive, got {cfg.oracle_tol:g}")
-    if cfg.baseline not in _BASELINES:
-        raise ConfigError(f"baseline must be one of {_BASELINES}, got {cfg.baseline!r}")
     if cfg.baseline == "full_info" and cfg.problem != "quadratic":
         # the regression families' f reads only y, so argmin_x f_t(x, y) is
         # every feasible x and the baseline would replay its initial x

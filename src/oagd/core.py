@@ -64,14 +64,16 @@ class FeasibleSet:
             hi = _as_vector(self.upper, "upper")
             if lo.shape != hi.shape:
                 raise ValueError("box bounds must share a shape")
-            if np.any(lo > hi):
+            if not (lo <= hi).all():  # nan fails too
                 raise ValueError("box requires lower <= upper elementwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
         elif self.kind == "ball":
             c = _as_vector(self.center, "center")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("ball requires a positive radius")
+            if not np.isfinite(c).all():
+                raise ValueError("ball requires a finite center")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise ValueError("ball requires a positive finite radius")
             object.__setattr__(self, "center", c)
             object.__setattr__(self, "radius", float(self.radius))
 
@@ -155,14 +157,14 @@ class ProblemConstants:
 
     def __post_init__(self):
         for name in ("ell_f0", "ell_f1", "ell_g1", "ell_g2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.mu_g <= 0:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not self.mu_g > 0:
             raise ValueError("mu_g must be positive")
         if self.mu_g > self.ell_g1:
             raise ValueError("mu_g <= ell_g1 required (condition number >= 1)")
         if self.mu_f is not None:
-            if self.mu_f <= 0:
+            if not self.mu_f > 0:
                 raise ValueError("mu_f must be positive when given")
             if self.mu_f > self.ell_f1:
                 raise ValueError("mu_f <= ell_f1 required")
@@ -190,8 +192,6 @@ def derive_constants(c: ProblemConstants) -> DerivedConstants:
     M_f = ell_f1 + ell_g1*ell_f1/mu_g + (ell_f0/mu_g)*(ell_g2 + ell_g1*ell_g2/mu_g),
     L_f = ell_f1 + ell_g1*(ell_f1 + M_f)/mu_g + (ell_f0/mu_g)*(ell_g2 + ell_g1*ell_g2/mu_g).
     """
-    if c.mu_g <= 0:
-        raise ValueError("mu_g must be positive")
     kappa_g = c.ell_g1 / c.mu_g
     L_y = c.ell_g1 / c.mu_g
     tail = (c.ell_f0 / c.mu_g) * (c.ell_g2 + c.ell_g1 * c.ell_g2 / c.mu_g)

@@ -19,6 +19,7 @@ from oagd import (ConfigError, EmptyDataset, InnerSchedule, NonConvexFlag, Parse
 from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _NUMERIC_DOMAINS,
     _parse_windows,
     _set_up,
     _write_csv,
@@ -236,6 +237,9 @@ def test_validate_config_rejects_silent_baselines(tmp_path, capsys):
     "init_x = 0.1, 0.2",  # d1 = 1
     "init_y = 0.1, 0.2",  # d2 = 1
     "init_x = one",
+    "set_kind = box\nset_lower = 0, 0\nset_upper = 1, 1",  # d1 = 1
+    "set_kind = ball",
+    "set_kind = ball\nset_radius = 1\nset_center = 0, 0",
 ])
 def test_validate_reports_every_config_mistake(tmp_path, capsys, lines):
     """Values the library rejects while the run is set up exit 1 with
@@ -260,6 +264,52 @@ def test_validate_names_nonfinite_init_and_mu_f_above_ell_f1(tmp_path, capsys, l
     assert main(["validate", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "error_category=ConfigError" in err and key in err
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
+              if _HINTS[f.name] in (float, typing.Optional[float])]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_validate_rejects_every_nonfinite_float_key(key, value):
+    """Every float key, used by the config or not, fails validate on nan
+    and on either infinity with an error naming it. Every comparison with
+    nan is false, so a domain check alone would let nan through."""
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+        validate_config(_base_cfg(**{key: value}))
+
+
+ENET_AT_T10 = ((Path(__file__).resolve().parents[1] / "configs" / "elastic_net.cfg")
+               .read_text(encoding="utf-8") + "T = 10\n")
+
+
+@pytest.mark.parametrize("lines, key", [
+    # `run` would fail at round 1 with NonFiniteIterate
+    ("alpha = nan", "alpha"),
+    ("alpha = inf", "alpha"),
+    ("beta = nan", "beta"),
+    ("quad_rule = constant\nquad_a1_const = nan", "quad_a1_const"),
+    # `run` would end in a raw traceback (nan constants, init outside the
+    # set) or, here at validate, a raw ZeroDivisionError
+    ("problem = synthetic\nd2 = 2\nx_low = nan", "x_low"),
+    ("set_kind = box\nset_half_width = nan", "set_half_width"),
+    ("set_kind = ball\nset_radius = nan", "set_radius"),
+    # `run` would write comparators from a PGD stopped at its start
+    (ENET_AT_T10 + "oracle_tol = inf", "oracle_tol"),
+    # not "needs a bounded set or an explicit D"
+    ("regime = convex_static\nD = nan", "D"),
+], ids=lambda v: v.splitlines()[-1] if "\n" in v else v)
+def test_validate_names_nonfinite_key(tmp_path, capsys, lines, key):
+    """Non-finite values that would otherwise run to a late failure, a raw
+    traceback or silently wrong numbers fail `oagd validate` with a
+    ConfigError naming their key."""
+    base = "problem = quadratic\nT = 20\nregime = convex_dynamic\n"
+    path = _write(tmp_path / "bad.cfg", base + lines + "\n")
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=ConfigError" in err and f"{key} must be finite" in err
 
 
 def test_beta_past_contraction_bound_rejected(tmp_path, capsys):
@@ -341,6 +391,15 @@ def test_readme_key_table_lists_every_config_key():
     table = readme[readme.index("| group | keys |"):].split("\n\n")[0].splitlines()[2:]
     listed = {key for row in table for key in re.findall(r"`(\w+)`", row.split("|")[2])}
     assert listed == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # each declared domain follows its key: the choices in order, or the
+    # numeric domain in the words of validate's errors
+    for f in dataclasses.fields(ExperimentConfig):
+        domain = f.metadata.get("domain")
+        if domain is None:
+            continue
+        words = ", ".join(c for c in domain if c) if isinstance(domain, tuple) \
+            else _NUMERIC_DOMAINS[domain][0]
+        assert re.search(rf"`{f.name}` \({re.escape(words)}[);]", "\n".join(table)), f.name
 
 
 def test_resolved_window_literal():
@@ -464,6 +523,17 @@ def test_run_experiment_creates_missing_output_directory(tmp_path):
     run_experiment(cfg)
     assert (out.parent / "base.baseline.csv").exists()
     assert (out.parent / "base.csv").exists()
+
+
+def test_meta_warns_on_every_capped_round(tmp_path):
+    """K = 2 above k_max = 1 caps K_t on every round, and meta.txt gives
+    one warning line per capped round."""
+    text = QUAD_CFG.format(out=tmp_path / "cap") + "k_max = 1\n"
+    trace, _, _ = run_experiment(parse_config(_write(tmp_path / "c.cfg", text)))
+    assert trace.K.tolist() == [1] * 16
+    lines = (tmp_path / "cap.meta.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("warning = ")] == [
+        f"warning = round {t}: K_t capped at 1" for t in range(1, 17)]
 
 
 def test_main_run_and_validate(tmp_path, capsys):

@@ -32,6 +32,23 @@ def test_feasible_set_box_validation():
         FeasibleSet.box([0.0], [0.0, 1.0])
 
 
+def test_box_rejects_nan_bounds():
+    """Every comparison with nan is false, so `lower > upper` alone would
+    let a nan bound through."""
+    for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            FeasibleSet.box(lower, upper)
+
+
+def test_ball_rejects_nonfinite_center_and_radius():
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            FeasibleSet.ball([0.0], radius)
+    for center in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="center"):
+            FeasibleSet.ball(center, 1.0)
+
+
 def test_feasible_set_ball_validation():
     with pytest.raises(ValueError):
         FeasibleSet.ball([0.0], radius=0.0)
@@ -99,6 +116,15 @@ def test_problem_constants_validation():
         ProblemConstants(ell_f0=-1, ell_f1=1, ell_g1=1, ell_g2=0, mu_g=1.0)
     with pytest.raises(ValueError):
         ProblemConstants(ell_f0=1, ell_f1=1, ell_g1=1, ell_g2=0, mu_g=1.0, mu_f=2.0)
+
+
+def test_problem_constants_reject_nonfinite():
+    """A nan or inf constant would derive a nan M_f or L_f."""
+    good = dict(ell_f0=1.0, ell_f1=1.0, ell_g1=1.0, ell_g2=0.0, mu_g=1.0, mu_f=1.0)
+    for name in good:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                ProblemConstants(**{**good, name: bad})
 
 
 def test_derived_constants_unit_quadratic():

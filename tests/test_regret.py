@@ -232,6 +232,18 @@ def test_stacked_quadratic_measurement_matches_per_round():
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
+    # draws from [-3, 3] whose np.float_power(v, 2), the round's scalar
+    # v ** 2, differs from v * v in the last bit, which no trace above
+    # meets; with a1 = a2 = 0 each square decides its row's f or g alone
+    x_sq, y_sq = -1.3275170599102342, -1.849539948621794
+    assert np.float_power(x_sq, 2) != x_sq * x_sq and np.float_power(y_sq, 2) != y_sq * y_sq
+    stream = quadratic_stream("constant", 2)
+    stacked = stream.stacked_round(2)
+    x, y = np.array([[x_sq], [0.0]]), np.array([[0.0], [y_sq]])
+    for name in ("f", "g"):
+        _assert_same_bits(getattr(stacked, name)(x, y),
+                          [getattr(stream[i], name)(x[i], y[i]) for i in range(2)], name)
+
 
 def test_comparator_series_numeric_provenance():
     stream = _ListStream([_strip(quadratic_round(0.1, 0.2)), _strip(quadratic_round(-0.2, 0.3))])
