@@ -4,8 +4,8 @@ Library layout: `core` holds the shared domain types, `hypergrad` the
 implicit-differentiation machinery and window averaging, `inner` the
 follower's solver and iteration-count rules, `driver` the online loop and
 its full-information benchmark, `regret` the comparator oracles and
-metrics, `problems` the concrete round families, and `cli` the experiment
-runner. `kernels` holds the numpy window reductions behind the streams'
+metrics, `problems` the `Stream` protocol and the concrete round families,
+and `cli` the experiment runner. `kernels` holds the numpy window reductions behind the streams'
 windowed-hypergradient fast paths.
 """
 
@@ -46,6 +46,7 @@ from .problems import (
     HOStream,
     QuadraticStream,
     Stage,
+    Stream,
     SyntheticStreamConfig,
     elastic_net_stream,
     equal_stages,
@@ -92,6 +93,7 @@ __all__ = [
     "RoundFunctions",
     "Stage",
     "StepSizeSchedule",
+    "Stream",
     "StreamExhausted",
     "SyntheticStreamConfig",
     "Trace",

@@ -35,6 +35,7 @@ from .errors import (
 from .hypergrad import WeightWindow, make_weights
 from .inner import InnerSchedule, newton_to_tolerance
 from .problems import (
+    Stream,
     SyntheticStreamConfig,
     elastic_net_stream,
     equal_stages,
@@ -347,7 +348,7 @@ def _x_range(cfg: ExperimentConfig, fset: FeasibleSet) -> tuple:
 
 @dataclass
 class _Prepared:
-    stream: object
+    stream: Stream
     fset: FeasibleSet
     constants: ProblemConstants
     d1: int
@@ -436,8 +437,11 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
         steps = StepSizeSchedule.convex_dynamic(derived)
     elif cfg.regime == "convex_static":
         D = cfg.D if cfg.D is not None else prep.fset.diameter
-        if not np.isfinite(D):
-            raise ConfigError("convex_static needs a bounded set or an explicit D")
+        if not np.isfinite(D):  # validate checked a given D, so this is the set's
+            if prep.fset.kind == "unbounded":
+                raise ConfigError("convex_static needs a bounded set or an explicit D")
+            raise ConfigError(f"convex_static: the {prep.fset.kind} set is bounded, but its "
+                              "diameter overflows float64; set D explicitly")
         steps = StepSizeSchedule.convex_static(D, constants.ell_f0)
     else:
         steps = StepSizeSchedule.nonconvex(1.0 / (3.0 * derived.L_f), derived)

@@ -47,7 +47,8 @@ class DecisionPair:
 class FeasibleSet:
     """Outer feasible set X: unbounded, a box, or a Euclidean ball.
 
-    ``diameter`` is the Euclidean diameter (inf when unbounded).
+    ``diameter`` is the Euclidean diameter: inf when unbounded, and when
+    a bounded set's diameter overflows float64.
     """
 
     kind: str
@@ -97,7 +98,8 @@ class FeasibleSet:
     @property
     def diameter(self) -> float:
         if self.kind == "box":
-            return float(np.linalg.norm(self.upper - self.lower))
+            with np.errstate(over="ignore"):
+                return float(np.linalg.norm(self.upper - self.lower))
         if self.kind == "ball":
             return 2.0 * self.radius
         return math.inf
@@ -222,17 +224,18 @@ class RoundFunctions:
       closed_form_x_partial(y): exact argmin_x f(x, y) with y held fixed,
         used by the full-information baseline.
 
-    Stacked rounds: a stream may offer stacked_round(T, start=0), one
-    bundle for its rounds start + 1..T whose callables act on a leading
-    round axis of n = T - start rows (x (n, d1), y (n, d2), f (n,),
-    jac_xy_g (n, d1, d2), the closed forms (n, .)) with row t - start - 1
-    evaluated as round t; its hess_yy_parts gives the (d2,) a every row
-    shares and an (n, d2) d, and its closed_form_y_star also takes a cloud
-    x (n, P, d1), giving (n, P, d2). Only streams whose every round has all
-    three closed forms and the same a offer one (the quadratic family), and
-    its closed_form_x_partial does not read y. The measurement, full_info_run
-    and the f_value / inner_residual fill of both drivers evaluate it in
-    one call where they would loop over rounds (h_estimate in blocks).
+    Stacked rounds: Stream.stacked_round(T, start=0) gives one bundle for
+    the rounds start + 1..T, or None. Its callables act on a leading round
+    axis of n = T - start rows (x (n, d1), y (n, d2), f (n,), jac_xy_g
+    (n, d1, d2), the closed forms (n, .)) with row t - start - 1 evaluated
+    as round t; its hess_yy_parts gives the (d2,) a every row shares and an
+    (n, d2) d, and its closed_form_y_star also takes a cloud x (n, P, d1),
+    giving (n, P, d2). Only the quadratic stream gives one: every round has
+    all three closed forms and the same a, and closed_form_x_partial does
+    not read y. The measurement, full_info_run and the f_value /
+    inner_residual fill of both drivers evaluate it in one call where they
+    would loop over rounds (h_estimate in blocks), and loop over rounds
+    where it is None.
     """
 
     f: Callable[[np.ndarray, np.ndarray], float]

@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable, StreamExhausted
-from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
-from .inner import InnerSchedule, k_for_round, stream_inner_gd
+from .hypergrad import WeightWindow, hypergradient
+from .inner import InnerSchedule, k_for_round
+from .problems import Stream
 
 
 def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
@@ -155,7 +156,7 @@ class Trace:
         return self.y.shape[1]
 
 
-def _require_rounds(stream, T: int):
+def _require_rounds(stream: Stream, T: int):
     if T < 1:
         raise ValueError("horizon T must be >= 1")
     n = len(stream)
@@ -164,7 +165,7 @@ def _require_rounds(stream, T: int):
 
 
 def oagd_run(
-    stream,
+    stream: Stream,
     init: DecisionPair,
     fset: FeasibleSet,
     window: WeightWindow,
@@ -179,11 +180,9 @@ def oagd_run(
     at round 1 without it; fixed and custom inner schedules never read it.
     The loop runs with numpy's overflow and invalid warnings off: a
     non-finite iterate is reported, with its round, by the loop's own
-    checks (NonFiniteIterate). The follower's steps go through
-    stream_inner_gd and the window average through
-    stream_windowed_hypergradient (each takes the stream's fast path when
-    it has one). f_value and inner_residual are filled after the loop
-    (_measure_rounds).
+    checks (NonFiniteIterate). Each round calls the stream's inner_steps
+    and windowed_hypergrad. f_value and inner_residual are filled after the
+    loop (_measure_rounds).
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
@@ -198,11 +197,15 @@ def oagd_run(
             K_t, capped = k_for_round(inner, constants, t)
             if capped:
                 trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
+            # Stream.inner_steps' inner_gd raises on a non-finite iterate,
+            # the fused overrides return it: either way the round is named
             try:
-                y_next = stream_inner_gd(stream, t, x, y, inner.beta, K_t)
+                y_next = stream.inner_steps(t, x, y, inner.beta, K_t)
+                if not np.isfinite(y_next).all():
+                    raise NonFiniteIterate("inner iterate became non-finite")
             except NonFiniteIterate as exc:
                 raise NonFiniteIterate(str(exc), round_index=t) from exc
-            hg = stream_windowed_hypergradient(stream, t, window, x, y_next)
+            hg = stream.windowed_hypergrad(t, window, x, y_next)
             alpha_t = steps.alpha_at(t)
             x_next = project(fset, x - alpha_t * hg)
             if not (np.isfinite(hg).all() and np.isfinite(x_next).all()):
@@ -223,7 +226,7 @@ def oagd_run(
     return trace
 
 
-def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
+def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
     """Benchmark that plays the previous round's exact solutions.
 
     After playing (x_t, y_t): y_{t+1} = argmin_y g_t(x_t, y) and
@@ -234,17 +237,18 @@ def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
     Trace rows mark oracle steps with K_t = 0 and alpha_t = 0; the recorded
     hypergradient is the exact one at (x_t, y_{t+1}), kept for diagnostics.
     It is filled after the loop with f_value and inner_residual
-    (_measure_rounds), so wall_nanos time the two closed forms alone. A
-    stream with stacked_round plays all rounds in two calls on it (every
-    x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of those.
+    (_measure_rounds), so wall_nanos time the two closed forms alone. When
+    the stream has a stacked round, all rounds are played in two calls on it
+    (every x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of
+    those.
     """
     _require_rounds(stream, T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
-    if hasattr(stream, "stacked_round"):
-        t0 = time.perf_counter_ns()
-        rows = stream.stacked_round(T)
+    t0 = time.perf_counter_ns()
+    rows = stream.stacked_round(T)
+    if rows is not None:
         x_next = rows.closed_form_x_partial(None)
         trace.x[0], trace.x[1:] = x, x_next[:-1]
         trace.y_after_inner[:] = rows.closed_form_y_star(trace.x)
@@ -276,16 +280,15 @@ def full_info_run(stream, init: DecisionPair, T: int) -> Trace:
     return trace
 
 
-def _measure_rounds(stream, trace: Trace, hypergrad: bool = False):
+def _measure_rounds(stream: Stream, trace: Trace, hypergrad: bool = False):
     """Fill a finished trace's f_value (at the played pair) and
     inner_residual (at the post-inner y), and with hypergrad its exact
-    hypergradient at (x_t, y_{t+1}). A stream with stacked_round(T) gets
-    one call each on its stacked round, whose rows carry the per-round
-    bits; any other stream is measured round by round."""
+    hypergradient at (x_t, y_{t+1}): one call each on the stream's stacked
+    round, whose rows carry the per-round bits, or round by round when it
+    has none."""
     x, y, y_next = trace.x, trace.y, trace.y_after_inner
-    stacked = getattr(stream, "stacked_round", None)
-    if stacked is not None:
-        rows = stacked(trace.T)
+    rows = stream.stacked_round(trace.T)
+    if rows is not None:
         if hypergrad:
             trace.hypergrad[:] = hypergradient(rows, x, y_next)
         trace.f_value[:] = rows.f(x, y)

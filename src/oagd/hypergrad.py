@@ -20,9 +20,9 @@ evaluated at the same current pair and carrying its own round's curvature:
 
 with weights 1 = u_0 >= u_1 >= ... > 0 and W = sum u_i fixed independent of t
 (zero-padded rounds keep their weight in W). windowed_hypergradient computes
-it term by term from any indexable stream of rounds and is the reference for
-the streams' windowed_hypergrad fast paths; stream_windowed_hypergradient
-takes a stream's fast path when it has one.
+it term by term from any indexable stream of rounds; it is
+Stream.windowed_hypergrad, and the reference for the streams' fast
+overrides.
 """
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np
     residual jac + M diag(d) + (M a) a^T is checked against
     SOLVE_RESIDUAL_RTOL (1 + ||jac||_max), with the diagonal evaluated once.
 
-    A stacked round (a stream's stacked_round, whose jac_xy_g is
+    A stacked round (from Stream.stacked_round, whose jac_xy_g is
     (T, d1, d2)) takes x (T, d1) and y (T, d2) and returns the (T, d1)
     hypergradients of its rows, each checked on its own. Its
     hess_yy_parts gives the (d2,) a its rows share and one (T, d2)
@@ -174,13 +174,3 @@ def windowed_hypergradient(stream, t: int, window: WeightWindow,
             raise FactorizationFailure(str(exc), round_index=t - i) from exc
     return acc / window.W
 
-
-def stream_windowed_hypergradient(stream, t: int, window: WeightWindow,
-                                  x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The windowed hypergradient of round t (1-based) of a stream: the
-    stream's own windowed_hypergrad(t, window, x, y) fast path when it has
-    one, else the generic windowed_hypergradient."""
-    fast = getattr(stream, "windowed_hypergrad", None)
-    if fast is not None:
-        return fast(t, window, x, y)
-    return windowed_hypergradient(stream, t, window, x, y)

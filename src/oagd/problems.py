@@ -24,34 +24,35 @@ diagonal for the regression families, whose inner models solve it by
 Sherman-Morrison. Only the fit on a whole training split
 (HOStream.full_batch_model) has a dense Hessian, A^T A / n + diag(d).
 
-Streams are sequences of RoundFunctions; stream[i] builds round i anew on
-every call. The regression and quadratic streams additionally expose
-windowed_hypergrad(t, window, x, y), an O(w d2) fast path equivalent to the
-generic averaging loop. The regression streams hold newest-first copies of
-their window tables, which that path slices, and the window kernel's
-workspace, which it overwrites: one stream must not serve concurrent runs.
+Every stream is a Stream: a sequence of RoundFunctions (stream[i] builds
+round i anew on every call) plus the methods the online loop and the
+measurement call on it. Stream's own methods are the per-round reference
+paths; the quadratic and regression streams override them where they have
+a faster form:
 
-Every stream also exposes inner_steps(t, x, y, beta, K), the K follower
-steps of round t fused into one loop in Python floats.
-inner.stream_inner_gd picks it up when present and otherwise runs
-inner.inner_gd on the round. Both paths evaluate the same gradient
-expression and give bit-identical iterates. The regression streams build
-the x-dependent factors once per round with numpy and keep only the dot
-a^T z in BLAS: numpy's ddot is a fused multiply-add chain, which Python
-3.11 floats (no math.fma) cannot reproduce, while every other operation of
-a step is one correctly rounded IEEE operation on one coordinate. That
-costs O(d2) interpreted operations per step, so the Python step beats the
-numpy one only up to d2 of about 17 (ridge) or 30 (elastic net); see
-HOStream.inner_steps. Every shipped problem has d2 <= 8.
-
-The quadratic stream also exposes stacked_round(T, start) (see
-RoundFunctions) and stacked_windowed_hypergrad, which the measurement
-evaluates over many rounds at once; the regression streams have neither
-and are measured round by round. quadratic_round keeps its scalar
-arithmetic as the per-round reference whose bits every stacked row
-carries: numpy's scalar float64 ** 2 (C pow) differs in the last bit from
-array squaring on about 0.1% of inputs, so the stacked round squares with
-np.float_power, which calls the same C pow per element.
+* inner_steps(t, x, y, beta, K), the follower's K steps of round t, runs
+  in Python floats on both families and gives inner.inner_gd's iterates
+  bit for bit. The regression streams build the x-dependent factors once
+  per round with numpy and keep only the dot a^T z in BLAS: numpy's ddot
+  is a fused multiply-add chain, which Python 3.11 floats (no math.fma)
+  cannot reproduce, while every other operation of a step is one correctly
+  rounded IEEE operation on one coordinate. That costs O(d2) interpreted
+  operations per step, so the Python step beats the numpy one only up to
+  d2 of about 17 (ridge) or 30 (elastic net); see HOStream.inner_steps.
+  Every shipped problem has d2 <= 8.
+* windowed_hypergrad(t, window, x, y) is an O(w d2) reduction on both
+  families, equal to the generic averaging loop up to summation order. The
+  regression streams hold newest-first copies of their window tables,
+  which it slices, and the window kernel's workspace, which it overwrites:
+  one stream must not serve concurrent runs.
+* stacked_round(T, start), stacked_windowed_hypergrad and
+  closed_form_static_comparator are the quadratic stream's alone, so the
+  measurement evaluates it over many rounds at once and measures the
+  regression streams round by round. quadratic_round keeps its scalar
+  arithmetic as the per-round reference whose bits every stacked row
+  carries: numpy's scalar float64 ** 2 (C pow) differs in the last bit
+  from array squaring on about 0.1% of inputs, so the stacked round squares
+  with np.float_power, which calls the same C pow per element.
 """
 from __future__ import annotations
 
@@ -64,8 +65,52 @@ import numpy as np
 
 from .core import FeasibleSet, InnerModel, ProblemConstants, RoundFunctions, project
 from .errors import DimensionMismatch, StreamExhausted
-from .hypergrad import cholesky_solve, sm_solve
+from .hypergrad import WeightWindow, cholesky_solve, sm_solve, windowed_hypergradient
+from .inner import inner_gd
 from .kernels import quad_window_reduce, sm_window_accumulate, sm_workspace
+
+
+class Stream:
+    """A sequence of rounds revealed one at a time, and what the online loop
+    and the measurement ask of it.
+
+    A subclass sets d1 and d2 and defines __len__ and __getitem__ (stream[i]
+    is round i + 1 as RoundFunctions). The methods here are the per-round
+    reference paths, and every caller calls them directly; a subclass
+    overrides one where it has a faster form with the same result.
+    stacked_round and closed_form_static_comparator return None here,
+    which tells the measurement to work round by round.
+    """
+
+    d1: int
+    d2: int
+
+    def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
+        """The follower's K gradient steps on round t (1-based) from y:
+        inner.inner_gd on self[t - 1]. y is not modified."""
+        return inner_gd(self[t - 1], x, y, beta, K)
+
+    def windowed_hypergrad(self, t: int, window: WeightWindow, x, y) -> np.ndarray:
+        """The window-averaged hypergradient of round t (1-based) at (x, y):
+        hypergrad.windowed_hypergradient on this stream."""
+        return windowed_hypergradient(self, t, window, x, y)
+
+    def stacked_windowed_hypergrad(self, window: WeightWindow, x, y) -> np.ndarray:
+        """windowed_hypergrad of rounds 1..T, row t - 1 at (x[t - 1],
+        y[t - 1]) of x (T, d1) and y (T, d2): here one call per row."""
+        return np.array([self.windowed_hypergrad(t, window, x[t - 1], y[t - 1])
+                         for t in range(1, x.shape[0] + 1)])
+
+    def stacked_round(self, T: int, start: int = 0) -> Optional[RoundFunctions]:
+        """Rounds start + 1..T as one RoundFunctions over a leading round
+        axis (see RoundFunctions), or None: measure round by round."""
+        return None
+
+    def closed_form_static_comparator(self) -> Optional[np.ndarray]:
+        """argmin_x of the rounds' summed composed objectives in closed form,
+        or None: solve for it numerically."""
+        return None
+
 
 QUADRATIC_CONSTANTS = ProblemConstants(
     ell_f0=5.0, ell_f1=1.0, ell_g1=1.0, ell_g2=0.0, mu_g=1.0, mu_f=1.0
@@ -112,13 +157,15 @@ def quadratic_round(
     )
 
 
-class QuadraticStream:
+class QuadraticStream(Stream):
     """Sequence of quadratic rounds driven by coefficient tables a1..a4.
 
     windowed_hypergrad uses that every round's M equals 1, so each window
     term is (x + y) + (2 a1_s - a2_s) and the average reduces to one
     weighted sum handled by kernels.quad_window_reduce.
     """
+
+    d1 = d2 = 1
 
     def __init__(self, a1, a2, a3=None, a4=None, fset: Optional[FeasibleSet] = None):
         self.a1 = np.asarray(a1, dtype=float)
@@ -132,9 +179,10 @@ class QuadraticStream:
             raise DimensionMismatch("a3 and a4 tables must have equal length")
         self.fset = fset if fset is not None else FeasibleSet.symmetric_box(1.0, 1)
         self.constants = QUADRATIC_CONSTANTS
-        self.d1 = 1
-        self.d2 = 1
-        self._shift = 2.0 * self.a1 - self.a2
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._shift = 2.0 * self.a1 - self.a2
+        if not all(np.isfinite(c).all() for c in (self.a1, self.a2, self.a3, self.a4, self._shift)):
+            raise ValueError("quadratic coefficients a1..a4 and the shift 2 a1 - a2 must be finite")
 
     def __len__(self) -> int:
         return self.a1.shape[0]
@@ -280,7 +328,7 @@ def _ridge_diag(x_ridge: np.ndarray, d2: int) -> np.ndarray:
     return c
 
 
-class HOStream:
+class HOStream(Stream):
     """Online hyperparameter ridge regression rounds from paired samples.
 
     Round t (0-based index t-1) binds training sample (A_train[i], b_train[i])
@@ -595,7 +643,7 @@ def estimate_constants(stream: HOStream, x_low: float, x_high: float,
     ell_f0 = math.sqrt(avn) * (math.sqrt(avn) * y_bound + bvn)
     ell_g1 = an + 2.0 * hi
     ell_g2 = 2.0 * hi * (1.0 + y_bound)
-    if getattr(stream, "smoothing", False):
+    if stream.smoothing:
         ell_g1 += hi / stream.mu
         ell_g2 += hi * (1.0 + 1.0 / stream.mu) ** 2
     mu_g = 2.0 * float(np.exp(x_low))

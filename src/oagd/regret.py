@@ -25,8 +25,9 @@ import numpy as np
 
 from .core import FeasibleSet, project
 from .errors import NonConvexFlag, OracleDiverged
-from .hypergrad import WeightWindow, hypergradient, stream_windowed_hypergradient
+from .hypergrad import WeightWindow, hypergradient
 from .inner import inner_model_at, newton_to_tolerance, pgd_to_stationarity
+from .problems import Stream
 
 INNER_ORACLE_TOL = 1e-12
 OUTER_ORACLE_TOL = 1e-10
@@ -117,36 +118,27 @@ class ComparatorSeries:
         return self.x_star.shape[0]
 
 
-def _stream_dims(stream) -> tuple[int, int]:
-    missing = [name for name in ("d1", "d2") if getattr(stream, name, None) is None]
-    if missing:
-        raise ValueError(f"stream has no dimension attribute {' or '.join(missing)}")
-    return int(stream.d1), int(stream.d2)
-
-
-def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
+def comparator_series(stream: Stream, fset: FeasibleSet, T: Optional[int] = None,
                       tol: float = OUTER_ORACLE_TOL,
                       convex: bool = True,
                       include_static: bool = True) -> ComparatorSeries:
     """Solve every round's comparator pair and, with include_static, the
     static comparator block (attach_static).
 
-    A stream with stacked_round(T) gets x*, y*, f* and the gradient norms
-    from one call each on its stacked round; any other stream round by
-    round. Numerical rounds warm start from the previous round's solution.
-    With convex=False a NonConvexFlag warning marks the numerical
-    comparators as local stationary points.
+    x*, y*, f* and the gradient norms come from one call each on the
+    stream's stacked round, or round by round when it has none. Numerical
+    rounds warm start from the previous round's solution. With
+    convex=False a NonConvexFlag warning marks the numerical comparators as
+    local stationary points.
     """
-    d1, d2 = _stream_dims(stream)
     if T is None:
         T = len(stream)
     if not convex:
         _warnings.warn(NonConvexFlag(
             "nonconvex composed objective: comparators are local stationary points"
         ))
-    stacked = getattr(stream, "stacked_round", None)
-    if stacked is not None:
-        rows = stacked(T)
+    rows = stream.stacked_round(T)
+    if rows is not None:
         x_star = rows.closed_form_x_star()
         y_star = rows.closed_form_y_star(x_star)
         series = ComparatorSeries(
@@ -157,13 +149,13 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
         if include_static:
             attach_static(series, stream, fset, tol=tol)
         return series
-    x_star = np.empty((T, d1))
-    y_star = np.empty((T, d2))
+    x_star = np.empty((T, stream.d1))
+    y_star = np.empty((T, stream.d2))
     f_star = np.empty(T)
     grad_norm = np.empty(T)
     closed = numerical = False
-    x_prev = project(fset, np.zeros(d1))
-    y_prev = np.zeros(d2)
+    x_prev = project(fset, np.zeros(stream.d1))
+    y_prev = np.zeros(stream.d2)
     for t in range(T):
         rnd = stream[t]
         closed |= rnd.closed_form_x_star is not None
@@ -191,23 +183,21 @@ def comparator_series(stream, fset: FeasibleSet, T: Optional[int] = None,
     return series
 
 
-def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
+def attach_static(series: ComparatorSeries, stream: Stream, fset: FeasibleSet,
                   tol: float = OUTER_ORACLE_TOL) -> ComparatorSeries:
     """Fill the static comparator block of an existing series in place.
 
     x_static minimizes the mean of the rounds' composed objectives: the
-    stream's closed form when it has one, else projected gradient descent
-    from the mean per-round comparator, with one composed handle per round
-    warm started from that round's y*_t. y_static and f_static are read
-    from the handles at x_static, or in one call each from the stream's
-    stacked round at the closed-form x_static when the stream has both.
+    stream's closed_form_static_comparator, or when that is None projected
+    gradient descent from the mean per-round comparator, with one composed
+    handle per round warm started from that round's y*_t. y_static and
+    f_static are read from the handles at x_static, or in one call each
+    from the stream's stacked round at a closed-form x_static.
     """
     T, d2 = series.y_star.shape
-    closed_static = getattr(stream, "closed_form_static_comparator", None)
-    stacked = getattr(stream, "stacked_round", None)
-    if closed_static is not None and stacked is not None:
-        rows = stacked(T)
-        x_bar = np.asarray(closed_static(), dtype=float)
+    x_bar = stream.closed_form_static_comparator()
+    rows = stream.stacked_round(T)
+    if x_bar is not None and rows is not None:
         x_rows = np.broadcast_to(x_bar, (T, x_bar.shape[0]))
         series.x_static = x_bar
         series.y_static = rows.closed_form_y_star(x_rows)
@@ -217,9 +207,7 @@ def attach_static(series: ComparatorSeries, stream, fset: FeasibleSet,
     # the numerical solve keeps all T of them alive
     handles = (_composed_handles(stream[t], y_hint=series.y_star[t])
                for t in range(T))
-    if closed_static is not None:
-        x_bar = np.asarray(closed_static(), dtype=float)
-    else:
+    if x_bar is None:
         handles = list(handles)
         x_bar = pgd_to_stationarity(
             lambda x: sum(value(x) for value, _, _ in handles) / T,
@@ -304,44 +292,44 @@ def _sample_points(fset: FeasibleSet, d1: int, n: int,
 H_BLOCK_ROUNDS = 256
 
 
-def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
+def h_estimate(stream: Stream, fset: FeasibleSet, T: Optional[int] = None,
                n_samples: int = 128, trace_x: Optional[np.ndarray] = None) -> float:
     """Sampled lower bound on H_T = sum_t sup_x ||y*_{t-1}(x) - y*_t(x)||^2.
 
     The supremum is taken over a finite point cloud (quasi-random points
     plus box corners when affordable; for unbounded sets the cloud covers
     the visited x range padded by 1), so the value underestimates the true
-    supremum. A stream with stacked_round solves the cloud for blocks of
-    H_BLOCK_ROUNDS rounds in one closed-form call each; any other stream
-    solves it round by round in one inner_oracle call: a batched closed
+    supremum. The cloud is solved for blocks of H_BLOCK_ROUNDS rounds in one
+    closed-form call each on the stream's stacked rounds; a stream without
+    them solves it round by round in one inner_oracle call: a batched closed
     form, or damped Newton per point warm started from the previous round's
     solution at that point. The stacked path still adds the rounds' suprema
     one at a time in round order, so it gives the per-round path's bits.
     """
-    d1, d2 = _stream_dims(stream)
     if T is None:
         T = len(stream)
     if T < 2:
         return 0.0
-    pts = _sample_points(fset, d1, n_samples, trace_x=trace_x)
+    pts = _sample_points(fset, stream.d1, n_samples, trace_x=trace_x)
     total = 0.0
-    stacked = getattr(stream, "stacked_round", None)
-    if stacked is not None:
-        # a block bounds memory: solving the whole (T, P) cloud of a
-        # quadratic_dynamic.cfg run (T = 2000, P = 130) at once raised its
-        # peak RSS from 36.8 to 41.4 MB. Blocks of 256 rounds (0.27 MB per
-        # temporary) take as long as one block of all 2000 (3.4 ms on a
-        # 2-core VM; 64-round blocks 4.8 ms). Consecutive blocks share a
-        # round, whose solution is recomputed.
-        for start in range(0, T - 1, H_BLOCK_ROUNDS):
-            stop = min(start + H_BLOCK_ROUNDS + 1, T)
-            ys = inner_oracle(stacked(stop, start=start),
-                              np.broadcast_to(pts, (stop - start,) + pts.shape))
-            for sup in np.max(np.sum((ys[1:] - ys[:-1]) ** 2, axis=2), axis=1).tolist():
-                total += sup
+    # a block bounds memory: solving the whole (T, P) cloud of a
+    # quadratic_dynamic.cfg run (T = 2000, P = 130) at once raised its peak
+    # RSS from 36.8 to 41.4 MB. Blocks of 256 rounds (0.27 MB per
+    # temporary) take as long as one block of all 2000 (3.4 ms on a 2-core
+    # VM; 64-round blocks 4.8 ms). Consecutive blocks share a round, whose
+    # solution is recomputed.
+    for start in range(0, T - 1, H_BLOCK_ROUNDS):
+        stop = min(start + H_BLOCK_ROUNDS + 1, T)
+        rows = stream.stacked_round(stop, start=start)
+        if rows is None:  # the stream has no stacked rounds: its first block says so
+            break
+        ys = inner_oracle(rows, np.broadcast_to(pts, (stop - start,) + pts.shape))
+        for sup in np.max(np.sum((ys[1:] - ys[:-1]) ** 2, axis=2), axis=1).tolist():
+            total += sup
+    else:  # every block was stacked
         return total
     with _oracle_round(1):
-        prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], d2)))
+        prev = inner_oracle(stream[0], pts, y0=np.zeros((pts.shape[0], stream.d2)))
     for t in range(1, T):
         with _oracle_round(t + 1):
             cur = inner_oracle(stream[t], pts, y0=prev)
@@ -350,32 +338,25 @@ def h_estimate(stream, fset: FeasibleSet, T: Optional[int] = None,
     return total
 
 
-def local_regret_series(trace, stream, window: WeightWindow) -> np.ndarray:
+def local_regret_series(trace, stream: Stream, window: WeightWindow) -> np.ndarray:
     """Cumulative sum of ||windowed hypergradient at (x_t, y*_t(x_t))||^2,
     the windowed gradient evaluated at the exact inner response to the
-    played x_t. A stream with stacked_round takes the responses from one
-    call on its stacked round, and one with stacked_windowed_hypergrad the
-    windowed gradients of every round in one call; any other stream takes
-    them round by round (the responses from inner_oracle, warm started
-    from the previous one)."""
+    played x_t. The responses come from one call on the stream's stacked
+    round, or round by round from inner_oracle (warm started from the
+    previous one) when it has none; the windowed gradients from the
+    stream's stacked_windowed_hypergrad."""
     T = trace.T
-    stacked = getattr(stream, "stacked_round", None)
-    if stacked is not None:
-        y_star = stacked(T).closed_form_y_star(trace.x)
+    rows = stream.stacked_round(T)
+    if rows is not None:
+        y_star = rows.closed_form_y_star(trace.x)
     else:
         y_star = np.empty((T, trace.d2))
         y_prev = np.zeros(trace.d2)
         for t in range(T):
             with _oracle_round(t + 1):
                 y_prev = y_star[t] = inner_oracle(stream[t], trace.x[t], y0=y_prev)
-    windowed = getattr(stream, "stacked_windowed_hypergrad", None)
-    if windowed is not None:
-        return np.cumsum(np.sum(windowed(window, trace.x, y_star) ** 2, axis=1))
-    vals = np.empty(T)
-    for t in range(1, T + 1):
-        hg = stream_windowed_hypergradient(stream, t, window, trace.x[t - 1], y_star[t - 1])
-        vals[t - 1] = float(np.sum(hg**2))
-    return np.cumsum(vals)
+    hg = stream.stacked_windowed_hypergrad(window, trace.x, y_star)
+    return np.cumsum(np.sum(hg**2, axis=1))
 
 
 @dataclass
@@ -405,7 +386,7 @@ class RegretReport:
     provenance: str
 
 
-def compute_report(trace, stream, fset: FeasibleSet, window: WeightWindow,
+def compute_report(trace, stream: Stream, fset: FeasibleSet, window: WeightWindow,
                    comparators: ComparatorSeries,
                    h_samples: int = 128,
                    include_local: bool = True,

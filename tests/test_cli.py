@@ -386,6 +386,34 @@ def test_build_schedules_regime_errors(overrides, message):
         build_schedules(cfg, prepare(cfg), make_weights("uniform", 1))
 
 
+def test_validate_catches_finite_values_that_overflow(tmp_path, capsys):
+    """quad_a1_const = 1e308 is finite, but the stream's shift 2 a1 - a2
+    overflows: validate fails with a ConfigError instead of passing a run
+    that dies of NonFiniteIterate. A box of half width 1e308 is bounded,
+    but its diameter overflows float64: convex_static says so and asks for
+    D, and every other regime accepts the box. Under pytest's
+    warnings-as-errors no raw numpy overflow warning reaches either."""
+    base = "problem = quadratic\nT = 20\n"
+    path = _write(tmp_path / "a1.cfg", base + "regime = convex_dynamic\nquad_rule = constant\n"
+                  "quad_a1_const = 1e308\n")
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=ConfigError" in err and "2 a1 - a2 must be finite" in err
+    box = base + "set_kind = box\nset_half_width = 1e308\n"
+    for regime in ("strongly_convex", "strongly_convex_static", "convex_dynamic",
+                   "convex_static", "nonconvex"):
+        path = _write(tmp_path / f"{regime}.cfg", box + f"regime = {regime}\n")
+        if regime != "convex_static":
+            assert main(["validate", "--config", path]) == 0, regime
+            continue
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error_category=ConfigError" in err and "bounded set" not in err
+        assert "box set is bounded, but its diameter overflows float64; set D" in err
+        path = _write(tmp_path / "with_D.cfg", box + f"regime = {regime}\nD = 2\n")
+        assert main(["validate", "--config", path]) == 0
+
+
 def test_readme_key_table_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme[readme.index("| group | keys |"):].split("\n\n")[0].splitlines()[2:]

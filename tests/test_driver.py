@@ -21,6 +21,8 @@ from oagd import (
 )
 from oagd.problems import QUADRATIC_CONSTANTS
 
+from conftest import ListStream, with_defaults
+
 DERIVED = derive_constants(QUADRATIC_CONSTANTS)
 
 
@@ -98,14 +100,13 @@ def test_iterates_stay_feasible():
 
 
 def test_generic_window_path_matches_fast_path():
-    """A bare list of rounds exercises the generic per-round window
-    average; it must reproduce the stream fast path up to summation-order
-    round-off."""
+    """The run on Stream's default follower and window average (inner_gd
+    and the generic per-round loop) reproduces the run on the quadratic
+    stream's overrides up to summation-order round-off."""
     stream = quadratic_stream("alt_sqrt", T=25)
-    rounds = [stream[i] for i in range(25)]
     kw = dict(T=25, w=7, alpha=0.15, K=2, init=(0.3, -0.2))
     fast = _run(stream, **kw)
-    generic = _run(rounds, **kw)
+    generic = _run(with_defaults(stream, "inner_steps", "windowed_hypergrad"), **kw)
     np.testing.assert_allclose(fast.x, generic.x, atol=1e-12)
     np.testing.assert_allclose(fast.hypergrad, generic.hypergrad, atol=1e-12)
     np.testing.assert_allclose(fast.final_x, generic.final_x, atol=1e-12)
@@ -122,12 +123,16 @@ def test_inner_divergence_reports_its_round():
     """Zero-coefficient quadratic (ell_g1 = 1) at x = 0 with alpha = 0 and
     beta = 9 >> 2/ell_g1: each inner step multiplies y by -8 exactly, so
     from y = 1 the iterate overflows float64 (2^1024) on step 342, which
-    falls in round ceil(342 / 50) = 7 of 50-step rounds."""
+    falls in round ceil(342 / 50) = 7 of 50-step rounds. The round is
+    named both for the quadratic stream's fused inner_steps, which returns
+    the non-finite iterate, and for a stream over the same rounds on
+    Stream's default, whose inner_gd raises."""
     stream = quadratic_stream("constant", T=20)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
-        _run(stream, T=20, alpha=0.0, beta=9.0, K=50, init=(0.0, 1.0))
-    assert info.value.round_index == 7
-    assert str(info.value).startswith("round 7: ")
+    for s in (stream, ListStream([stream[i] for i in range(20)])):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
+            _run(s, T=20, alpha=0.0, beta=9.0, K=50, init=(0.0, 1.0))
+        assert info.value.round_index == 7
+        assert str(info.value) == "round 7: inner iterate became non-finite"
 
 
 def test_regression_inner_divergence_reports_its_round():
@@ -259,13 +264,13 @@ def test_full_info_stacked_matches_round_by_round():
     """On a quadratic stream full_info_run plays every round from its
     stacked round in two calls; every trace array but wall_nanos, and the
     final pair, equal bit for bit those of the same rounds played one by
-    one (a list of rounds has no stacked_round). wall_nanos splits the two
+    one (Stream's default stacked_round, None). wall_nanos splits the two
     calls' time evenly over the rows."""
     for fset in (FeasibleSet.symmetric_box(1.0, 1), FeasibleSet.ball(np.zeros(1), 0.3)):
         stream = quadratic_stream("alt_sqrt", T=300, fset=fset)
         init = DecisionPair(x=np.array([0.25]), y=np.array([-0.6]))
         tr = full_info_run(stream, init, T=300)
-        ref = full_info_run([stream[t] for t in range(300)], init, T=300)
+        ref = full_info_run(with_defaults(stream, "stacked_round"), init, T=300)
         for name in ("x", "y", "y_after_inner", "hypergrad", "alpha", "beta", "K",
                      "f_value", "inner_residual", "final_x", "final_y"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
@@ -296,4 +301,4 @@ def test_full_info_requires_oracles():
     for missing in ("closed_form_y_star", "closed_form_x_partial"):
         rounds = [dataclasses.replace(quadratic_round(0.0, 0.0), **{missing: None})]
         with pytest.raises(OracleUnavailable):
-            full_info_run(rounds, init, T=1)
+            full_info_run(ListStream(rounds), init, T=1)

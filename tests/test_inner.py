@@ -15,17 +15,15 @@ from oagd import (
     OracleDiverged,
     ProblemConstants,
     RoundFunctions,
-    StreamExhausted,
     derive_constants,
     inner_gd,
     k_for_round,
     newton_to_tolerance,
     quadratic_round,
-    quadratic_stream,
 )
 from oagd import inner
 from oagd.core import FeasibleSet, InnerModel
-from oagd.inner import DEFAULT_K_MAX, inner_model_at, pgd_to_stationarity, stream_inner_gd
+from oagd.inner import DEFAULT_K_MAX, inner_model_at, pgd_to_stationarity
 
 
 def _diag_quadratic(diag) -> RoundFunctions:
@@ -389,40 +387,3 @@ def test_inner_schedule_validation():
         InnerSchedule.custom(beta=1.0, fn=None)
     assert InnerSchedule.theorem_beta(3.0, 1.0) == pytest.approx(0.5)
     assert InnerSchedule.fixed(beta=1.0, K=2).k_max == DEFAULT_K_MAX
-
-
-def test_stream_inner_gd_paths_agree_and_validate():
-    """A regression or quadratic stream takes its fused inner_steps, a plain
-    list of rounds the generic inner_gd; both give the same bits, reject
-    K < 1 and beta <= 0, raise NonFiniteIterate for a diverging beta (on
-    the elastic net through the smoothing term's square root) after the
-    same diverging iterates, and the fused path raises StreamExhausted past
-    the stream's end."""
-    tables = _regression_tables(4, seed=4)
-    cases = (
-        (HOStream(*tables, d1=1), np.array([0.3]), np.ones(4), 1e3),
-        (ElasticNetStream(*tables, mu_smooth=0.5, d1=5), np.full(5, 0.3), np.ones(4), 1e3),
-        (quadratic_stream("alt_sqrt", 6), np.array([0.3]), np.array([-0.7]), 3.0),
-    )
-    for stream, x, y, beta_bad in cases:
-        rounds = [stream[i] for i in range(len(stream))]
-        np.testing.assert_array_equal(
-            stream_inner_gd(stream, 3, x, y, 0.05, 9), stream_inner_gd(rounds, 3, x, y, 0.05, 9)
-        )
-        for s in (stream, rounds):
-            with pytest.raises(ValueError):
-                stream_inner_gd(s, 1, x, y, beta=0.05, K=0)
-            with pytest.raises(ValueError):
-                stream_inner_gd(s, 1, x, y, beta=0.0, K=1)
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate):
-                stream_inner_gd(s, 2, x, y, beta=beta_bad, K=5000)
-        # the diverging iterates agree bit for bit too: huge (on the elastic
-        # net past the overflow of z^2 inside the square root) and then nan
-        for K in (50, 5000):
-            z = y.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(K):
-                    z -= beta_bad * rounds[1].grad_y_g(x, z)
-            assert stream.inner_steps(2, x, y, beta_bad, K).tobytes() == z.tobytes()
-        with pytest.raises(StreamExhausted):
-            stream_inner_gd(stream, len(stream) + 1, x, y, 0.05, 1)

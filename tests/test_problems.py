@@ -12,6 +12,9 @@ from oagd import (
     ElasticNetStream,
     FeasibleSet,
     HOStream,
+    NonFiniteIterate,
+    QuadraticStream,
+    Stream,
     StreamExhausted,
     SyntheticStreamConfig,
     equal_stages,
@@ -20,9 +23,7 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
     synthesize,
-    windowed_hypergradient,
 )
-from oagd.inner import inner_gd
 from oagd.problems import QUADRATIC_CONSTANTS, estimate_constants
 
 H = 1e-5
@@ -101,19 +102,6 @@ def test_quadratic_stream_static_comparator():
     np.testing.assert_allclose(big.closed_form_static_comparator(), [1.0], atol=1e-14)
 
 
-def test_quadratic_stream_fast_window_matches_generic():
-    rng = np.random.default_rng(11)
-    s = quadratic_stream("alt_sqrt", T=9)
-    window = make_weights("exponential", 4, gamma=0.6)
-    for t in (1, 3, 9):
-        x, y = rng.normal(size=1), rng.normal(size=1)
-        fast = s.windowed_hypergrad(t, window, x, y)
-        generic = windowed_hypergradient(s, t, window, x, y)
-        np.testing.assert_allclose(fast, generic, atol=1e-13)
-    with pytest.raises(StreamExhausted):
-        s.windowed_hypergrad(10, window, np.zeros(1), np.zeros(1))
-
-
 def test_quadratic_stream_table_validation():
     with pytest.raises(DimensionMismatch):
         quadratic_stream("custom", T=2, coefficients=(np.zeros(2), np.zeros(3)))
@@ -121,6 +109,11 @@ def test_quadratic_stream_table_validation():
         quadratic_stream("alt_sqrt", T=2, a1_mode="half")
     with pytest.raises(ValueError):
         quadratic_stream("spiral", T=2)
+    # a non-finite coefficient, or a shift 2 a1 - a2 that overflows, is
+    # rejected without numpy's overflow warning (an error under pytest)
+    for a1, a2 in ((np.nan, 0.0), (0.0, np.inf), (1e308, 0.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match="must be finite"):
+            quadratic_stream("constant", T=2, a1_const=a1, a2_const=a2)
 
 
 def _small_ho(d1=1, T=6, d2=3, seed=12, elastic=False, mu=0.5):
@@ -132,6 +125,31 @@ def _small_ho(d1=1, T=6, d2=3, seed=12, elastic=False, mu=0.5):
     if elastic:
         return ElasticNetStream(A, b, Av, bv, mu_smooth=mu, d1=d1)
     return HOStream(A, b, Av, bv, d1=d1)
+
+
+@pytest.mark.parametrize("build, window, atol", [
+    (lambda: quadratic_stream("alt_sqrt", T=9), make_weights("exponential", 4, gamma=0.6), 1e-13),
+    (lambda: _small_ho(d1=1), make_weights("uniform", 4), 1e-12),
+    (lambda: _small_ho(d1=3), make_weights("uniform", 4), 1e-12),
+    (lambda: _small_ho(d1=4, elastic=True), make_weights("exponential", 3, gamma=0.8), 1e-12),
+    (lambda: _small_ho(d1=6, elastic=True), make_weights("exponential", 3, gamma=0.8), 1e-12),
+], ids=["quadratic", "ridge-scalar", "ridge-per-coordinate", "enet-scalar-ridge",
+        "enet-per-coordinate-ridge"])
+def test_windowed_hypergrad_override_matches_default(build, window, atol):
+    """Each stream's windowed_hypergrad override equals Stream's default,
+    the generic per-round average, up to summation-order round-off: the
+    quadratic stream, both ridge shapes (d1 = 1 and d1 = d2) and both
+    elastic-net shapes (scalar and per-coordinate ridge block), from a
+    partial first window to the last round. Past the last round the
+    override raises StreamExhausted."""
+    rng = np.random.default_rng(11)
+    s = build()
+    for t in (1, 2, 5, len(s)):
+        x, y = rng.uniform(0.2, 1.2, size=s.d1), rng.normal(size=s.d2)
+        np.testing.assert_allclose(s.windowed_hypergrad(t, window, x, y),
+                                   Stream.windowed_hypergrad(s, t, window, x, y), atol=atol)
+    with pytest.raises(StreamExhausted):
+        s.windowed_hypergrad(len(s) + 1, window, x, y)
 
 
 def test_ho_round_derivatives_scalar_ridge():
@@ -183,20 +201,6 @@ def test_closed_forms_accept_point_batches():
             np.testing.assert_allclose(batch, np.array([y_star(x) for x in X]), rtol=0, atol=1e-14)
 
 
-def test_ho_fast_window_matches_generic():
-    """Both ridge shapes: scalar (d1 = 1) and per-coordinate (d1 = d2)."""
-    rng = np.random.default_rng(16)
-    window = make_weights("uniform", 4)
-    for d1 in (1, 3):
-        s = _small_ho(d1=d1)
-        for t in (1, 2, 6):
-            x = rng.uniform(0.2, 1.5, size=d1)
-            y = rng.normal(size=3)
-            fast = s.windowed_hypergrad(t, window, x, y)
-            generic = windowed_hypergradient(s, t, window, x, y)
-            np.testing.assert_allclose(fast, generic, atol=1e-12)
-
-
 def _gd_steps(rnd, x, y, beta, K):
     """inner_gd's loop on one round without its finiteness check, with
     numpy's overflow and invalid warnings silenced."""
@@ -208,11 +212,16 @@ def _gd_steps(rnd, x, y, beta, K):
 
 
 def test_fused_inner_steps_match_inner_gd():
-    """inner_steps is inner_gd on the round, bit for bit, for both ridge
-    shapes and both elastic-net shapes at d2 = 1, 5, 8 and 33 (33 takes
-    ddot's vector kernel) and for the quadratic family; also from a y with
-    -0.0, the smallest subnormal and 1e200 (whose square overflows), an
-    integer y and a strided y. y is left untouched."""
+    """Each stream's inner_steps override gives Stream's default (inner_gd
+    on the round) bit for bit, for both ridge shapes and both elastic-net
+    shapes at d2 = 1, 5, 8 and 33 (33 takes ddot's vector kernel) and for
+    the quadratic family; also from a y with -0.0, the smallest subnormal
+    and 1e200 (whose square overflows), an integer y and a strided y, and
+    along a diverging beta: huge iterates (on the elastic net past the
+    overflow of z^2 inside the square root), then nan, where the default
+    raises NonFiniteIterate. y is left untouched. The override raises
+    StreamExhausted past the stream's end; the default rejects K < 1 and
+    beta <= 0."""
     rng = np.random.default_rng(20)
     streams = [quadratic_stream("alt_sqrt", 8)]
     for d2 in (1, 5, 8, 33):
@@ -228,14 +237,26 @@ def test_fused_inner_steps_match_inner_gd():
                 y_before = y.copy()
                 for K in (1, 7, 40):
                     fused = s.inner_steps(t, x, y, 0.05, K)
-                    assert np.array_equal(fused, inner_gd(s[t - 1], x, y, 0.05, K))
+                    assert np.array_equal(fused, Stream.inner_steps(s, t, x, y, 0.05, K))
                 assert np.array_equal(y, y_before)
             y = np.resize([-0.0, 5e-324, 1e200], s.d2) * rng.choice([-1.0, 1.0], size=s.d2)
             for K in (1, 7):
                 fused = s.inner_steps(t, x, y, 0.05, K)
                 assert fused.tobytes() == _gd_steps(s[t - 1], x, y, 0.05, K).tobytes()
+        y = rng.normal(size=s.d2)
+        beta_bad = 3.0 if isinstance(s, QuadraticStream) else 1e3
+        with np.errstate(over="ignore", invalid="ignore"):
+            for K in (50, 2000):
+                fused = s.inner_steps(2, x, y, beta_bad, K)
+                assert fused.tobytes() == _gd_steps(s[1], x, y, beta_bad, K).tobytes()
+            assert np.isnan(fused).any()
+            with pytest.raises(NonFiniteIterate):
+                Stream.inner_steps(s, 2, x, y, beta_bad, 2000)
         with pytest.raises(StreamExhausted):
             s.inner_steps(len(s) + 1, x, y, 0.05, 1)
+        for beta, K in ((0.05, 0), (0.0, 1)):
+            with pytest.raises(ValueError):
+                Stream.inner_steps(s, 1, x, y, beta, K)
 
 
 def test_ho_dimension_rules():
@@ -280,21 +301,6 @@ def test_elastic_net_round_derivatives():
     wide = _small_ho(d1=6, elastic=True)
     x = np.concatenate([rng.normal(size=3), rng.uniform(0.2, 1.0, size=3)])
     _check_round_derivatives(wide[2], x, rng.normal(size=3))
-
-
-def test_elastic_net_fast_window_matches_generic():
-    """Both elastic-net shapes: scalar ridge block (d1 = d2 + 1) and
-    per-coordinate ridge block (d1 = 2 d2)."""
-    rng = np.random.default_rng(19)
-    window = make_weights("exponential", 3, gamma=0.8)
-    for d1 in (4, 6):
-        s = _small_ho(d1=d1, elastic=True)
-        for t in (1, 5):
-            x = np.concatenate([rng.normal(size=3) * 0.3, rng.uniform(0.2, 1.0, size=d1 - 3)])
-            y = rng.normal(size=3)
-            fast = s.windowed_hypergrad(t, window, x, y)
-            generic = windowed_hypergradient(s, t, window, x, y)
-            np.testing.assert_allclose(fast, generic, atol=1e-12)
 
 
 def test_elastic_net_has_no_closed_form_inner():

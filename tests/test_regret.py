@@ -40,26 +40,13 @@ from oagd.regret import (
     kronecker_points,
 )
 
+from conftest import ListStream, with_defaults
+
 
 def _strip(rnd):
     return dataclasses.replace(
         rnd, closed_form_y_star=None, closed_form_x_star=None, closed_form_x_partial=None
     )
-
-
-class _ListStream:
-    """Minimal stream wrapper: comparator work needs d1/d2 on the stream."""
-
-    def __init__(self, rounds, d1=1, d2=1):
-        self.rounds = list(rounds)
-        self.d1 = d1
-        self.d2 = d2
-
-    def __len__(self):
-        return len(self.rounds)
-
-    def __getitem__(self, i):
-        return self.rounds[i]
 
 
 def test_inner_oracle_prefers_closed_form():
@@ -117,7 +104,7 @@ def test_outer_oracle_small_objective_from_box_edge():
 
 
 def test_comparator_series_nonconvex_flag():
-    stream = _ListStream([_strip(quadratic_round(0.1, 0.4))])
+    stream = ListStream([_strip(quadratic_round(0.1, 0.4))])
     with pytest.warns(NonConvexFlag):
         comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1), convex=False)
 
@@ -137,26 +124,6 @@ def test_comparator_series_closed_form_quadratic():
     # the static comparator is the projected mean of a2 - a1
     np.testing.assert_allclose(series.x_static, [np.mean(a2 - a1)], atol=1e-14)
     assert series.f_static is not None
-
-
-class _PerRound:
-    """A stream seen without stacked_round and stacked_windowed_hypergrad:
-    every other attribute is the stream's own, so the measurement takes its
-    per-round path."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __len__(self):
-        return len(self._stream)
-
-    def __getitem__(self, i):
-        return self._stream[i]
-
-    def __getattr__(self, name):
-        if name in ("stacked_round", "stacked_windowed_hypergrad"):
-            raise AttributeError(name)
-        return getattr(self._stream, name)
 
 
 def _stacked_cases():
@@ -187,9 +154,10 @@ def _assert_same_bits(got, ref, name=""):
 
 
 def test_stacked_quadratic_measurement_matches_per_round():
-    """The stacked paths of comparator_series (with its static block),
-    oagd_run, full_info_run and local_regret_series give what the
-    per-round path gives over the first T = 25 of 40 rounds: comparators
+    """The quadratic stream's stacked_round and stacked_windowed_hypergrad
+    give comparator_series (with its static block), oagd_run, full_info_run
+    and local_regret_series what Stream's defaults for them (the per-round
+    paths) give over the first T = 25 of 40 rounds: comparators
     exactly and their values within 1e-15 relative; both drivers' traces
     bit for bit except wall_nanos, and the stacked g on the trace's rows bit
     for bit; local regret bit for bit at w = 1 and
@@ -200,7 +168,7 @@ def test_stacked_quadratic_measurement_matches_per_round():
                make_weights("uniform", T), make_weights("exponential", 4, gamma=0.7),
                make_weights("exponential", 10, gamma=0.8))
     for stream in _stacked_cases():
-        per_round = _PerRound(stream)
+        per_round = with_defaults(stream, "stacked_round", "stacked_windowed_hypergrad")
         fset = stream.fset
         stacked_cmp = comparator_series(stream, fset, T=T)
         ref_cmp = comparator_series(per_round, fset, T=T)
@@ -246,12 +214,12 @@ def test_stacked_quadratic_measurement_matches_per_round():
 
 
 def test_comparator_series_numeric_provenance():
-    stream = _ListStream([_strip(quadratic_round(0.1, 0.2)), _strip(quadratic_round(-0.2, 0.3))])
+    stream = ListStream([_strip(quadratic_round(0.1, 0.2)), _strip(quadratic_round(-0.2, 0.3))])
     series = comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1))
     assert series.provenance.startswith("numerical")
     np.testing.assert_allclose(series.x_star[:, 0], [0.1, 0.5], atol=1e-8)
     # a closed-form round next to one without closed_form_x_star
-    stream = _ListStream([quadratic_round(0.1, 0.2), _strip(quadratic_round(-0.2, 0.3))])
+    stream = ListStream([quadratic_round(0.1, 0.2), _strip(quadratic_round(-0.2, 0.3))])
     series = comparator_series(stream, FeasibleSet.symmetric_box(1.0, 1))
     assert series.provenance == "mixed"
     np.testing.assert_allclose(series.x_star[:, 0], [0.1, 0.5], atol=1e-8)
@@ -266,7 +234,7 @@ def test_oracle_failure_names_its_round():
                               hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)))
     rounds = [_strip(quadratic_round(0.1, 0.4)), _strip(quadratic_round(0.2, -0.3)), bad,
               _strip(quadratic_round(0.0, 0.1))]
-    stream, fset = _ListStream(rounds), FeasibleSet.symmetric_box(1.0, 1)
+    stream, fset = ListStream(rounds), FeasibleSet.symmetric_box(1.0, 1)
     trace = types.SimpleNamespace(T=4, d2=1, x=np.zeros((4, 1)))
     for measure in (lambda: comparator_series(stream, fset),
                     lambda: h_estimate(stream, fset, n_samples=4),
@@ -281,7 +249,7 @@ def test_attach_static_numeric_minimizes_average():
     """Without a closed form the static block comes from a projected solve
     of the time-averaged composed objective; for quadratics that is the
     mean of a2 - a1."""
-    rounds = _ListStream([_strip(quadratic_round(a1, a2)) for a1, a2 in ((0.1, 0.4), (0.3, 0.2))])
+    rounds = ListStream([_strip(quadratic_round(a1, a2)) for a1, a2 in ((0.1, 0.4), (0.3, 0.2))])
     fset = FeasibleSet.symmetric_box(1.0, 1)
     series = comparator_series(rounds, fset, include_static=False)
     assert series.x_static is None
