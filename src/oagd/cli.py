@@ -399,9 +399,20 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     return _Prepared(stream, fset, constants, d1, d2, dataset=table)
 
 
+#: the derived constants each regime's default step size and default K_t read
+_DEFAULTS_READ = {
+    "strongly_convex": (("L_f", "L_y"), ("kappa_g", "L_f", "L_y", "M_f")),
+    "strongly_convex_static": ((), ("kappa_g", "L_y", "M_f")),
+    "convex_dynamic": (("L_f",), ("kappa_g",)),
+    "convex_static": ((), ("kappa_g",)),
+    "nonconvex": (("L_f",), ("kappa_g", "L_y", "M_f")),
+}
+
+
 def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
                     window: WeightWindow):
-    """Regime defaults plus any explicit overrides (recorded as notes)."""
+    """Regime defaults plus any explicit overrides (recorded as notes). A
+    default that would read a non-finite derived constant is a ConfigError."""
     constants = prep.constants
     if cfg.mu_f is not None:  # ProblemConstants checks it against ell_f1
         constants = replace(constants, mu_f=cfg.mu_f)
@@ -417,6 +428,13 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
             f"beta = {beta:g} breaks the inner contraction condition "
             f"beta < 2/ell_g1 = {2.0 / constants.ell_g1:.6g}"
         )
+
+    step_reads, k_reads = _DEFAULTS_READ[cfg.regime]
+    for name in (step_reads if cfg.alpha is None else ()) + (k_reads if cfg.K is None else ()):
+        if not math.isfinite(getattr(derived, name)):
+            raise ConfigError(f"derived constant {name} = {getattr(derived, name)} is not finite: "
+                              f"lower y_bound = {cfg.y_bound:g} or x_high = {cfg.x_high:g}, "
+                              "or set alpha and K")
 
     def need_mu_f():
         if mu_f is None:

@@ -208,7 +208,8 @@ class RoundFunctions:
 
     All derivatives are supplied analytically by the problem family; there is
     no automatic differentiation anywhere. Shapes: x is (d1,), y is (d2,),
-    jac_xy_g returns (d1, d2) = cross second derivatives of g, and
+    jac_xy_g_dot(x, y, v) applies the (d1, d2) cross second derivatives of
+    g to a (d2,) v and returns (d1,) without forming them, and
     hess_yy_parts(x, y) returns the inner Hessian, the second derivative of
     g in y, as two (d2,) vectors (a, d): it is diag(d) + a a^T, which
     hypergrad.sm_solve solves by Sherman-Morrison.
@@ -226,9 +227,9 @@ class RoundFunctions:
 
     Stacked rounds: Stream.stacked_round(T, start=0) gives one bundle for
     the rounds start + 1..T, or None. Its callables act on a leading round
-    axis of n = T - start rows (x (n, d1), y (n, d2), f (n,), jac_xy_g
-    (n, d1, d2), the closed forms (n, .)) with row t - start - 1 evaluated
-    as round t; its hess_yy_parts gives the (d2,) a every row shares and an
+    axis of n = T - start rows (x (n, d1), y (n, d2), f (n,), jac_xy_g_dot
+    (n, d1) of an (n, d2) v, the closed forms (n, .)) with row
+    t - start - 1 evaluated as round t; its hess_yy_parts gives the (d2,) a every row shares and an
     (n, d2) d, and its closed_form_y_star also takes a cloud x (n, P, d1),
     giving (n, P, d2). Only the quadratic stream gives one: every round has
     all three closed forms and the same a, and closed_form_x_partial does
@@ -243,7 +244,7 @@ class RoundFunctions:
     grad_x_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_xy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jac_xy_g_dot: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     hess_yy_parts: Callable[[np.ndarray, np.ndarray], tuple]
     inner_model: Optional[Callable[[np.ndarray], "InnerModel"]] = None
     closed_form_y_star: Optional[Callable[[np.ndarray], np.ndarray]] = None

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
-from .errors import NonFiniteIterate, OracleUnavailable, StreamExhausted
+from .errors import NonFiniteIterate, OracleUnavailable
 from .hypergrad import WeightWindow, hypergradient
 from .inner import InnerSchedule, k_for_round
 from .problems import Stream
@@ -156,14 +156,6 @@ class Trace:
         return self.y.shape[1]
 
 
-def _require_rounds(stream: Stream, T: int):
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
-    n = len(stream)
-    if n < T:
-        raise StreamExhausted(n + 1, available=n)
-
-
 def oagd_run(
     stream: Stream,
     init: DecisionPair,
@@ -184,7 +176,7 @@ def oagd_run(
     and windowed_hypergrad. f_value and inner_residual are filled after the
     loop (_measure_rounds).
     """
-    _require_rounds(stream, T)
+    stream.horizon(T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     if not fset.contains(x, atol=1e-12):
@@ -242,7 +234,7 @@ def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
     (every x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of
     those.
     """
-    _require_rounds(stream, T)
+    stream.horizon(T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     trace = Trace.allocate(T, x.shape[0], y.shape[0])

@@ -10,28 +10,27 @@ class OagdError(Exception):
     """Base class for all package errors."""
 
 
-class FactorizationFailure(OagdError):
+class RoundError(OagdError):
+    """A failure that can name the 1-based round it happened in: the
+    message reads "round N: ..." when round_index is given."""
+
+    def __init__(self, message, round_index=None):
+        if round_index is not None:
+            message = f"round {round_index}: {message}"
+        super().__init__(message)
+        self.round_index = round_index
+
+
+class FactorizationFailure(RoundError):
     """The inner Hessian was not numerically positive definite.
 
     Signals a violated strong-convexity assumption (or a mis-specified
     problem). Carries the round index when raised inside a run.
     """
 
-    def __init__(self, message, round_index=None):
-        if round_index is not None:
-            message = f"round {round_index}: {message}"
-        super().__init__(message)
-        self.round_index = round_index
 
-
-class NonFiniteIterate(OagdError):
+class NonFiniteIterate(RoundError):
     """An iterate became NaN/Inf, usually a diverging step size."""
-
-    def __init__(self, message, round_index=None):
-        if round_index is not None:
-            message = f"round {round_index}: {message}"
-        super().__init__(message)
-        self.round_index = round_index
 
 
 class StreamExhausted(OagdError):
@@ -50,18 +49,15 @@ class OracleUnavailable(OagdError):
     """Neither closed forms nor a numerical oracle are configured."""
 
 
-class OracleDiverged(OagdError):
+class OracleDiverged(RoundError):
     """A comparator oracle stopped short of tolerance: it hit its iteration
     cap, its step collapsed, or the inner Hessian was not positive definite.
     Carries the last residual, and the round index when raised for one
     round of a measurement pass."""
 
     def __init__(self, message, residual=None, round_index=None):
-        if round_index is not None:
-            message = f"round {round_index}: {message}"
-        super().__init__(message)
+        super().__init__(message, round_index)
         self.residual = residual
-        self.round_index = round_index
 
 
 class NonConvexFlag(Warning):

@@ -2,10 +2,11 @@
 
 The single-round hypergradient at a pair (x, y) is
 
-    grad_x f(x, y) + M grad_y f(x, y),    M solving  jac_xy_g + M H = 0,
+    grad_x f(x, y) - jac_xy_g(x, y) v,    v solving  H(x, y) v = grad_y f(x, y),
 
-i.e. M = -jac_xy_g(x,y) H(x,y)^{-1} with H the inner Hessian. At y = y*(x)
-this equals the exact gradient of the composed objective phi(x) =
+with H the inner Hessian and jac_xy_g the cross second derivatives of g,
+which a round applies to v (jac_xy_g_dot) rather than forming. At
+y = y*(x) this equals the exact gradient of the composed objective phi(x) =
 f(x, y*(x)) by the implicit function theorem; away from y*(x) the error is
 bounded by M_f ||y - y*(x)||.
 
@@ -35,7 +36,7 @@ import numpy as np
 from .core import RoundFunctions
 from .errors import FactorizationFailure
 
-#: residual tolerance of the M solve, relative to 1 + ||jac||_max
+#: residual tolerance of the solve against grad_y f (see _check_residual)
 SOLVE_RESIDUAL_RTOL = 1e-10
 
 
@@ -46,7 +47,7 @@ def sm_solve(a: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         z = D^{-1} rhs - D^{-1} a (a^T D^{-1} rhs) / (1 + a^T D^{-1} a),
 
     in O(d2) per right-hand side. Leading axes of rhs (and of d) are batch
-    axes: one call solves a vector, the rows of a (d1, d2) Jacobian, or a
+    axes: one call solves a vector, the rows of a stacked round, or a
     (P, d2) point cloud with one diagonal per point. Raises
     FactorizationFailure unless d is finite and positive, the condition
     under which the matrix is positive definite for every a.
@@ -74,46 +75,40 @@ def cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
-def _check_residual(jac_xy: np.ndarray, residual: np.ndarray):
-    """Raise FactorizationFailure unless the solve residual jac + M hess is
-    within SOLVE_RESIDUAL_RTOL (1 + ||jac||_max), for each (d1, d2) matrix
-    of a stacked (T, d1, d2) pair on its own."""
-    if float(abs(residual).max()) <= SOLVE_RESIDUAL_RTOL:  # within tolerance whatever jac is
+def _check_residual(a: np.ndarray, d: np.ndarray, v: np.ndarray, rhs: np.ndarray):
+    """Raise FactorizationFailure unless each row's residual d v + (a^T v) a
+    - rhs of H v = rhs is within SOLVE_RESIDUAL_RTOL (1 + max(|H| |v| +
+    |rhs|)), |H| = diag(d) + |a| |a|^T: the scale of what rounding leaves
+    in it, which grows with v as H nears singularity (the ridge at x -> -inf)
+    without the solve going wrong."""
+    residual = d * v + v.dot(a)[..., None] * a - rhs
+    if float(abs(residual).max()) <= SOLVE_RESIDUAL_RTOL:  # within tolerance whatever the scale
         return
-    worst = abs(residual).max(axis=(-2, -1))
-    scale = 1.0 + abs(jac_xy).max(axis=(-2, -1))
+    worst = abs(residual).max(axis=-1)
+    v_abs, a_abs = abs(v), abs(a)
+    scale = 1.0 + (d * v_abs + v_abs.dot(a_abs)[..., None] * a_abs + abs(rhs)).max(axis=-1)
     bad = ~np.isfinite(worst) | (worst > SOLVE_RESIDUAL_RTOL * scale)
     if bad.any():
         raise FactorizationFailure(
             f"linear-system residual {float(np.asarray(worst)[bad].max()):.3e} "
-            f"exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+||jac||)"
+            f"exceeds {SOLVE_RESIDUAL_RTOL:.1e}*(1+|H||v|+|grad_y f|)"
         )
 
 
 def hypergradient(round_fns: RoundFunctions, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Single-round inexact hypergradient grad_x f + M grad_y f at (x, y).
+    """Single-round inexact hypergradient grad_x f - jac_xy_g v at (x, y),
+    with v from one sm_solve against grad_y f on the round's hess_yy_parts
+    (a, d), checked by _check_residual.
 
-    -M comes from sm_solve on the round's hess_yy_parts (a, d); the
-    residual jac + M diag(d) + (M a) a^T is checked against
-    SOLVE_RESIDUAL_RTOL (1 + ||jac||_max), with the diagonal evaluated once.
-
-    A stacked round (from Stream.stacked_round, whose jac_xy_g is
-    (T, d1, d2)) takes x (T, d1) and y (T, d2) and returns the (T, d1)
-    hypergradients of its rows, each checked on its own. Its
-    hess_yy_parts gives the (d2,) a its rows share and one (T, d2)
-    diagonal, so one sm_solve call covers every row."""
-    jac = round_fns.jac_xy_g(x, y)
-    gx = np.asarray(round_fns.grad_x_f(x, y), dtype=float)
+    A stacked round (from Stream.stacked_round) takes x (n, d1) and y
+    (n, d2) and returns the (n, d1) hypergradients of its rows, each
+    checked on its own: its hess_yy_parts gives the (d2,) a its rows share
+    and one (n, d2) diagonal, so one sm_solve call covers every row."""
     gy = np.asarray(round_fns.grad_y_f(x, y), dtype=float)
     a, d = round_fns.hess_yy_parts(x, y)
-    if jac.ndim == 3:  # stacked: one (d1, d2) Jacobian and one diagonal per row
-        d = d[:, None, :]
-        neg_M = sm_solve(a, d, jac)
-        _check_residual(jac, jac - neg_M * d - neg_M.dot(a)[..., None] * a)
-        return gx - np.einsum("tij,tj->ti", neg_M, gy)
-    neg_M = sm_solve(a, d, jac)  # jac H^{-1}
-    _check_residual(jac, jac - neg_M * d - neg_M.dot(a)[:, None] * a)
-    return gx - neg_M.dot(gy)
+    v = sm_solve(a, d, gy)
+    _check_residual(a, d, v, gy)
+    return np.asarray(round_fns.grad_x_f(x, y), dtype=float) - round_fns.jac_xy_g_dot(x, y, v)
 
 
 @dataclass(frozen=True)
@@ -160,8 +155,8 @@ def windowed_hypergradient(stream, t: int, window: WeightWindow,
     """Weighted average (1/W) sum_i u_i hg_{t-i}(x, y) over rounds t, t-1,
     ..., max(1, t-w+1) of a stream (t is 1-based).
 
-    Each term computes its own M from its own round's curvature at the
-    shared current pair (x, y). Rounds before the first contribute zero but
+    Each term solves against its own round's curvature at the shared
+    current pair (x, y). Rounds before the first contribute zero but
     their weight stays in W. A FactorizationFailure names the round whose
     term failed.
     """

@@ -85,6 +85,18 @@ class Stream:
     d1: int
     d2: int
 
+    def horizon(self, T: Optional[int] = None) -> int:
+        """T, or every round when T is None. A T below 1 is a ValueError;
+        one past the last round is StreamExhausted, naming the first round
+        past the end."""
+        if T is None:
+            return len(self)
+        if T < 1:
+            raise ValueError(f"horizon T must be >= 1, got {T}")
+        if T > len(self):
+            raise StreamExhausted(len(self) + 1, available=len(self))
+        return T
+
     def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
         """The follower's K gradient steps on round t (1-based) from y:
         inner.inner_gd on self[t - 1]. y is not modified."""
@@ -149,7 +161,7 @@ def quadratic_round(
         grad_x_f=lambda x, y: np.array([x[0] + 2.0 * a1]),
         grad_y_f=lambda x, y: np.array([y[0] - a2]),
         grad_y_g=lambda x, y: np.array([y[0] - x[0] + a2]),
-        jac_xy_g=lambda x, y: np.array([[-1.0]]),
+        jac_xy_g_dot=lambda x, y, v: -v,
         hess_yy_parts=_quad_hess_yy_parts,
         closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
@@ -160,9 +172,10 @@ def quadratic_round(
 class QuadraticStream(Stream):
     """Sequence of quadratic rounds driven by coefficient tables a1..a4.
 
-    windowed_hypergrad uses that every round's M equals 1, so each window
-    term is (x + y) + (2 a1_s - a2_s) and the average reduces to one
-    weighted sum handled by kernels.quad_window_reduce.
+    windowed_hypergrad uses that every round's cross derivative is -1 and
+    its inner Hessian 1, so each window term is (x + y) + (2 a1_s - a2_s)
+    and the average reduces to one weighted sum handled by
+    kernels.quad_window_reduce.
     """
 
     d1 = d2 = 1
@@ -196,7 +209,7 @@ class QuadraticStream(Stream):
         """Rounds start + 1..T as one RoundFunctions over a leading round
         axis of n = T - start rows: row t - start - 1 of x (n, 1) and
         y (n, 1) is evaluated with round t's coefficients. f and g give
-        (n,), the gradients (n, 1), jac_xy_g (n, 1, 1), hess_yy_parts the
+        (n,), the gradients (n, 1), jac_xy_g_dot -v, hess_yy_parts the
         shared a = 0 and an (n, 1) d = 1, both closed-form comparators
         (n, 1), and closed_form_y_star(x) (n, 1),
         or (n, P, 1) for a cloud x of shape (n, P, 1).
@@ -206,9 +219,7 @@ class QuadraticStream(Stream):
         scalar float64 ** 2 does (array squaring, x * x, differs from it in
         the last bit on about 0.1% of inputs).
         """
-        if T > len(self):
-            raise StreamExhausted(len(self) + 1, available=len(self))
-        n = T - start
+        n = self.horizon(T) - start
         a1, a2, a3, a4 = (c[start:T] for c in (self.a1, self.a2, self.a3, self.a4))
         a1c, a2c = a1[:, None], a2[:, None]
         fset = self.fset
@@ -231,7 +242,7 @@ class QuadraticStream(Stream):
             grad_x_f=lambda x, y: x + 2.0 * a1c,
             grad_y_f=lambda x, y: y - a2c,
             grad_y_g=lambda x, y: y - x + a2c,
-            jac_xy_g=lambda x, y: np.full((n, 1, 1), -1.0),
+            jac_xy_g_dot=lambda x, y, v: -v,
             hess_yy_parts=lambda x, y: parts,
             closed_form_y_star=closed_form_y_star,
             closed_form_x_star=lambda: project(fset, a2c - a1c),
@@ -265,9 +276,7 @@ class QuadraticStream(Stream):
         added one lag at a time, u_i ((x + y)_t + shift_{t-i}) into every
         row t > i. For w = 1 every row equals windowed_hypergrad's; for
         w > 1 the sums run in another order (a few ulp apart)."""
-        T = x.shape[0]
-        if T > len(self):
-            raise StreamExhausted(len(self) + 1, available=len(self))
+        T = self.horizon(x.shape[0])
         xpy = x + y
         u, s = window.u, self._shift[:T, None]
         acc = u[0] * (xpy + s)
@@ -378,9 +387,9 @@ class HOStream(Stream):
         """The penalty's part of g(x, .) at x, x-dependent factors computed
         once: (root, value, grad, hess_diag, jac), the last four of (z,
         root(z)); root(z) is None for the ridge, whose D in a a^T + D takes
-        x (P, d1). jac is jac_xy_g's block diagonals in x's order (a scalar
-        ridge weight's one row): exp(x) scales each block's penalty term,
-        so each is that block's term of grad."""
+        x (P, d1). jac is the cross derivatives' diagonal blocks in x's
+        order, which _jac_dot applies: exp(x) scales each block's penalty
+        term, so each is that block's term of grad."""
         c = _ridge_diag(self._ridge_block(x), self.d2)
         c2 = 2.0 * c
         return (lambda z: None, lambda z, q: float(c.dot(z * z)),
@@ -432,10 +441,12 @@ class HOStream(Stream):
 
         return InnerModel(value_grad, solve)
 
-    def _jac_xy(self, x, y) -> np.ndarray:
-        *blocks, ridge = self._penalty(4, x, y)
-        ridge_rows = ridge[None, :] if self._ridge_block(x).shape[0] == 1 else np.diag(ridge)
-        return np.vstack([np.diag(j) for j in blocks] + [ridge_rows])
+    def _jac_dot(self, x, jac, v) -> np.ndarray:
+        """g's cross second derivatives, given as _penalty_at's diagonal
+        blocks jac, applied to v (a scalar ridge weight's block is one row)."""
+        *blocks, ridge = jac
+        ridge_part = [float(ridge @ v)] if self._ridge_block(x).shape[0] == 1 else ridge * v
+        return np.concatenate([j * v for j in blocks] + [ridge_part])
 
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
@@ -452,7 +463,7 @@ class HOStream(Stream):
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: av * (av @ y - bv),
             grad_y_g=lambda x, y: self._round_at(i, x, False)(y),
-            jac_xy_g=lambda x, y: self._jac_xy(x, y),
+            jac_xy_g_dot=lambda x, y, v: self._jac_dot(x, self._penalty(4, x, y), v),
             hess_yy_parts=hess_yy_parts,
             inner_model=lambda x: self._round_at(i, x),
             # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
@@ -509,8 +520,9 @@ class HOStream(Stream):
         return view.copy()
 
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
-        """Fast path: every window term shares D and the Jacobian, so the
-        weighted solve batch-reduces through the Sherman-Morrison kernel."""
+        """Fast path: every window term shares D and the cross derivatives,
+        so the weighted solves batch-reduce through the Sherman-Morrison
+        kernel and the cross derivatives apply once, to their sum."""
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
         x = np.asarray(x, dtype=float)
@@ -529,10 +541,7 @@ class HOStream(Stream):
             window.u[:m],
             self._window_work,
         )
-        # -jac_xy_g(x, y) @ acc without forming the Jacobian
-        *blocks, ridge = jac(y, q)
-        ridge_rows = [-float(ridge @ acc)] if self._ridge_block(x).shape[0] == 1 else -(ridge * acc)
-        return np.concatenate([-(j * acc) for j in blocks] + [ridge_rows]) / window.W
+        return -self._jac_dot(x, jac(y, q), acc) / window.W
 
 
 class ElasticNetStream(HOStream):

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FeasibleSet, project
-from .errors import NonConvexFlag, OracleDiverged
+from .errors import ConfigError, NonConvexFlag, OracleDiverged
 from .hypergrad import WeightWindow, hypergradient
 from .inner import inner_model_at, newton_to_tolerance, pgd_to_stationarity
 from .problems import Stream
@@ -131,8 +131,7 @@ def comparator_series(stream: Stream, fset: FeasibleSet, T: Optional[int] = None
     convex=False a NonConvexFlag warning marks the numerical comparators as
     local stationary points.
     """
-    if T is None:
-        T = len(stream)
+    T = stream.horizon(T)
     if not convex:
         _warnings.warn(NonConvexFlag(
             "nonconvex composed objective: comparators are local stationary points"
@@ -266,8 +265,12 @@ def kronecker_points(n: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray
     return lower[None, :] + frac * (upper - lower)[None, :]
 
 
+@np.errstate(over="ignore")  # a range that overflows is refused below
 def _sample_points(fset: FeasibleSet, d1: int, n: int,
                    trace_x: Optional[np.ndarray] = None) -> np.ndarray:
+    """h_estimate's point cloud. A range wider than float64 holds is a
+    ConfigError: in a cloud rescaled into it, y*'s change between rounds
+    rounds away (a 20-round quadratic's H_T read 0, not 12.2)."""
     if fset.kind == "box":
         lower, upper = fset.lower, fset.upper
     elif fset.kind == "ball":
@@ -279,6 +282,9 @@ def _sample_points(fset: FeasibleSet, d1: int, n: int,
         else:
             lower = trace_x.min(axis=0) - 1.0
             upper = trace_x.max(axis=0) + 1.0
+    if not np.isfinite(upper - lower).all():
+        raise ConfigError(f"H_T cannot be sampled: the {fset.kind} set spans more than "
+                          "float64 holds; set report_h = false")
     pts = kronecker_points(n, lower, upper)
     if fset.kind == "box" and 2**d1 <= n:
         corners = np.array(list(itertools.product(*zip(fset.lower, fset.upper))))
@@ -306,8 +312,7 @@ def h_estimate(stream: Stream, fset: FeasibleSet, T: Optional[int] = None,
     solution at that point. The stacked path still adds the rounds' suprema
     one at a time in round order, so it gives the per-round path's bits.
     """
-    if T is None:
-        T = len(stream)
+    T = stream.horizon(T)
     if T < 2:
         return 0.0
     pts = _sample_points(fset, stream.d1, n_samples, trace_x=trace_x)

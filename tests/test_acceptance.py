@@ -119,7 +119,7 @@ def test_criterion_03_inner_contraction_rate():
             grad_x_f=lambda x, y: np.zeros(1),
             grad_y_f=lambda x, y: np.zeros(d2),
             grad_y_g=grad,
-            jac_xy_g=lambda x, y: np.zeros((1, d2)),
+            jac_xy_g_dot=lambda x, y, v: np.zeros(1),
             hess_yy_parts=lambda x, y, diag=diag: (np.zeros_like(diag), diag),
         )
         beta = 2.0 / (ell + mu)

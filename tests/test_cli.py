@@ -414,6 +414,43 @@ def test_validate_catches_finite_values_that_overflow(tmp_path, capsys):
         assert main(["validate", "--config", path]) == 0
 
 
+def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_path, capsys):
+    """y_bound = 1e200 on a synthetic stream gives M_f = L_f = inf. Each
+    regime whose default step size or K_t reads one fails validate with a
+    ConfigError naming it and y_bound / x_high, instead of a raw ValueError
+    (nonconvex), a zero step (convex_dynamic) or "c must be positive"
+    (strongly_convex); with alpha and K set, none is read."""
+    base = "problem = synthetic\nT = 20\nd2 = 2\ny_bound = 1e200\n"
+    regimes = {"nonconvex": "", "strongly_convex": "mu_f = 0.1\n",
+               "convex_dynamic": "set_kind = box\nset_lower = 0\nset_upper = 3\n"}
+    for regime, extra in regimes.items():
+        path = _write(tmp_path / f"{regime}.cfg", base + extra + f"regime = {regime}\n")
+        assert main(["validate", "--config", path]) == 1, regime
+        err = capsys.readouterr().err
+        assert "error_category=ConfigError" in err, regime
+        assert "derived constant L_f = inf is not finite" in err, regime
+        assert "lower y_bound = 1e+200 or x_high = 3" in err, regime
+        path = _write(tmp_path / f"{regime}_set.cfg",
+                      base + extra + f"regime = {regime}\nalpha = 0.01\nK = 5\n")
+        assert main(["validate", "--config", path]) == 0, regime
+
+
+def test_run_refuses_h_estimate_on_a_box_wider_than_float64(tmp_path, capsys):
+    """A box of half width 1e308 passes validate, but its width overflows:
+    run stops with a ConfigError that advises report_h = false, with no raw
+    numpy warning (warnings are errors here), and runs with it."""
+    cfg = ("problem = quadratic\nT = 20\nregime = convex_dynamic\nset_kind = box\n"
+           f"set_half_width = 1e308\noutput = {tmp_path / 'wide'}\n")
+    path = _write(tmp_path / "wide.cfg", cfg)
+    assert main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "error_category=ConfigError" in err and "set report_h = false" in err
+    path = _write(tmp_path / "wide_no_h.cfg", cfg + "report_h = false\n")
+    assert main(["run", "--config", path]) == 0
+    meta = (tmp_path / "wide.meta.txt").read_text(encoding="utf-8")
+    assert "report.h_T = nan" in meta
+
+
 def test_readme_key_table_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme[readme.index("| group | keys |"):].split("\n\n")[0].splitlines()[2:]
@@ -799,6 +836,56 @@ def test_quadratic_dynamic_reproduces_committed_results(tmp_path, monkeypatch):
     for w in (2, 8):
         _assert_reproduces(str(tmp_path / f"quadratic_sweep_w{w}"),
                            root / "results" / f"quadratic_sweep_w{w}", (".csv",))
+
+
+def test_elastic_net_reproduces_committed_results(tmp_path, monkeypatch):
+    """Rerunning configs/elastic_net.cfg reproduces the committed
+    results/elastic_net.{csv,meta.txt}: the loop's columns (f_value,
+    alpha_t, K_t, inner_residual) and trace.final_x exactly; the values
+    that come from the comparator oracles (the regret and path-length
+    columns, report.* and test_error) within the config's oracle_tol,
+    relative to max(1, |value|); every other meta line as text. Only
+    wall_nanos and config.output may differ otherwise."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    cfg = parse_config(root / "configs" / "elastic_net.cfg")
+    cfg.output = str(tmp_path / "elastic_net")
+    with pytest.warns(NonConvexFlag):
+        run_experiment(cfg)
+    ref = root / "results" / "elastic_net"
+
+    def within_tol(got: str, want: str) -> bool:
+        try:
+            pairs = [(float(a), float(b))
+                     for a, b in zip(got.split(","), want.split(","), strict=True)]
+        except ValueError:
+            return got == want
+        return all(abs(a - b) <= cfg.oracle_tol * max(1.0, abs(b))
+                   or (math.isnan(a) and math.isnan(b)) for a, b in pairs)
+
+    with open(cfg.output + ".csv", newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    with open(f"{ref}.csv", newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0] == CSV_COLUMNS and len(got) == len(want)
+    exact = {"t", "f_value", "alpha_t", "K_t", "inner_residual"}
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for name, a, b in zip(CSV_COLUMNS, g_row, w_row, strict=True):
+            if name in exact:
+                assert a == b, (g_row[0], name, a, b)
+            elif name != "wall_nanos":
+                assert within_tol(a, b), (g_row[0], name, a, b)
+    got = Path(cfg.output + ".meta.txt").read_text(encoding="utf-8").splitlines()
+    want = Path(f"{ref}.meta.txt").read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want)
+    for g_line, w_line in zip(got, want):
+        key, _, a = g_line.partition(" = ")
+        assert key == w_line.partition(" = ")[0]
+        b = w_line.partition(" = ")[2]
+        if key.startswith("report.") or key == "test_error":
+            assert within_tol(a, b), (key, a, b)
+        elif key != "config.output":
+            assert a == b, (key, a, b)
 
 
 def test_enet_oracle_comparator_chain_matches_benchmark_reference(monkeypatch):

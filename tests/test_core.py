@@ -1,15 +1,20 @@
 """Tests for the foundational types: decision pairs, feasible sets,
-projections, and derived constants."""
+projections, derived constants, and the round-naming errors."""
 import numpy as np
 import pytest
 
 from oagd import (
     DecisionPair,
+    FactorizationFailure,
     FeasibleSet,
+    NonFiniteIterate,
+    OagdError,
+    OracleDiverged,
     ProblemConstants,
     derive_constants,
     project,
 )
+from oagd.errors import RoundError
 
 
 def test_decision_pair_coerces_to_float_vectors():
@@ -148,3 +153,18 @@ def test_derived_constants_general_case():
     assert d.L_y == pytest.approx(2.0)
     assert d.M_f == pytest.approx(24.0)
     assert d.L_f == pytest.approx(72.0)
+
+
+def test_round_errors_name_their_round_once():
+    """FactorizationFailure, NonFiniteIterate and OracleDiverged share
+    RoundError's "round N: " prefix: the message carries it only with a
+    round index, round_index is kept either way, and OracleDiverged also
+    keeps its residual."""
+    for cls in (FactorizationFailure, NonFiniteIterate, OracleDiverged):
+        assert issubclass(cls, RoundError) and issubclass(cls, OagdError)
+        named, bare = cls("went wrong", round_index=7), cls("went wrong")
+        assert (str(named), named.round_index) == ("round 7: went wrong", 7)
+        assert (str(bare), bare.round_index) == ("went wrong", None)
+    exc = OracleDiverged("stalled", residual=2.5e-8, round_index=3)
+    assert (str(exc), exc.residual, exc.round_index) == ("round 3: stalled", 2.5e-8, 3)
+    assert OracleDiverged("stalled", 1e-3).residual == 1e-3

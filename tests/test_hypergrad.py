@@ -74,12 +74,33 @@ def test_sm_solve_matches_dense_cholesky():
         grad = rnd.grad_y_g(x, y)
         step, dense_step = sm_solve(a, d, grad), cholesky_solve(hess, grad)
         assert np.linalg.norm(step - dense_step) <= 1e-12 * np.linalg.norm(dense_step)
-        jac = rnd.jac_xy_g(x, y)
+        jac = np.column_stack([rnd.jac_xy_g_dot(x, y, e) for e in np.eye(d.size)])
         M, dense_M = -sm_solve(a, d, jac), -cholesky_solve(hess, jac.T).T
         assert np.linalg.norm(M - dense_M) <= 1e-12 * np.linalg.norm(dense_M)
         hg = hypergradient(rnd, x, y)
         dense_hg = rnd.grad_x_f(x, y) + dense_M @ rnd.grad_y_f(x, y)
         assert np.linalg.norm(hg - dense_hg) <= 1e-12 * np.linalg.norm(dense_hg)
+
+
+def test_hypergradient_accepts_nearly_singular_inner_hessian():
+    """At x = -20, -40, -60 the ridge's diag(d) + a a^T has d = 2 exp(x), so
+    v = H^{-1} grad_y f is huge and its residual with it. The hypergradient
+    still agrees to 1e-12 relative with the form that solves against the
+    cross derivatives, J = 2 exp(x) y written out (rows scaled by d, so that
+    solve is well scaled), and its residual check passes."""
+    rng = np.random.default_rng(32)
+    d2 = 5
+    tables = [rng.normal(size=(6, d2)), rng.normal(size=6),
+              rng.normal(size=(6, d2)), rng.normal(size=6)]
+    for d1 in (1, d2):
+        rnd = HOStream(*tables, d1=d1)[3]
+        for xv in (-20.0, -40.0, -60.0):
+            x, y = np.full(d1, xv), rng.normal(size=d2)
+            a, d = rnd.hess_yy_parts(x, y)
+            c2y = 2.0 * np.exp(x) * y
+            jac = c2y[None, :] if d1 == 1 else np.diag(c2y)
+            reference = -(sm_solve(a, d, jac) @ rnd.grad_y_f(x, y))
+            np.testing.assert_allclose(hypergradient(rnd, x, y), reference, rtol=1e-12)
 
 
 def _hess_diag(stream, x, y):
@@ -136,7 +157,9 @@ def _stacked(rounds):
 
     return RoundFunctions(
         f=rows("f"), g=rows("g"), grad_x_f=rows("grad_x_f"), grad_y_f=rows("grad_y_f"),
-        grad_y_g=rows("grad_y_g"), jac_xy_g=rows("jac_xy_g"), hess_yy_parts=parts,
+        grad_y_g=rows("grad_y_g"), hess_yy_parts=parts,
+        jac_xy_g_dot=lambda x, y, v: np.array(
+            [r.jac_xy_g_dot(p, q, w) for r, p, q, w in zip(rounds, x, y, v)]),
     )
 
 
@@ -166,12 +189,12 @@ def test_stacked_hypergradient_matches_rows_and_flags_bad_row():
         broken = dataclasses.replace(rows, hess_yy_parts=lambda x, y: (a, d_bad))
         with pytest.raises(FactorizationFailure, match="not finite and positive"):
             hypergradient(broken, x, y)
-    # each row against its own Jacobian: row 1's large Jacobian does not
+    # each row against its own scale: row 1's large grad_y f does not
     # excuse row 0's residual
-    jac = np.array([[[1.0]], [[1e6]]])
+    rhs, one = np.array([[1.0], [1e6]]), np.ones((2, 1))
     with pytest.raises(FactorizationFailure, match="linear-system residual"):
-        _check_residual(jac, np.array([[[1e-9]], [[0.0]]]))
-    _check_residual(jac, np.array([[[0.0]], [[1e-9]]]))
+        _check_residual(np.zeros(1), one, rhs + [[1e-9], [0.0]], rhs)
+    _check_residual(np.zeros(1), one, rhs + [[0.0], [1e-9]], rhs)
 
 
 def test_hypergradient_matches_composed_derivative_quadratic():
@@ -213,7 +236,7 @@ def _coupled_round(c1: float, c2: float) -> RoundFunctions:
         grad_x_f=lambda x, y: -c1 * (y[:2] - c1 * x),
         grad_y_f=lambda x, y: y - c1 * lift(x),
         grad_y_g=lambda x, y: H @ y - c2 * B.T @ x,
-        jac_xy_g=lambda x, y: -c2 * B,
+        jac_xy_g_dot=lambda x, y, v: -c2 * (B @ v),
         hess_yy_parts=lambda x, y: (np.zeros(3), h),
         closed_form_y_star=y_star,
     )

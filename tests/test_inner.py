@@ -35,7 +35,7 @@ def _diag_quadratic(diag) -> RoundFunctions:
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros_like(y),
         grad_y_g=lambda x, y: d * y,
-        jac_xy_g=lambda x, y: np.zeros((1, d.size)),
+        jac_xy_g_dot=lambda x, y, v: np.zeros(1),
         hess_yy_parts=lambda x, y: (np.zeros(d.size), d),
     )
 
@@ -62,7 +62,7 @@ def test_inner_gd_exact_step_for_unit_curvature():
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
-        jac_xy_g=lambda x, y: np.zeros((1, 1)),
+        jac_xy_g_dot=lambda x, y, v: np.zeros(1),
         hess_yy_parts=lambda x, y: (np.zeros(1), np.ones(1)),
     )
     out = inner_gd(rnd, np.zeros(1), np.zeros(1), beta=1.0, K=1)
@@ -138,7 +138,7 @@ def _smoothed_abs_round() -> RoundFunctions:
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
-        jac_xy_g=lambda x, y: np.zeros((1, 1)),
+        jac_xy_g_dot=lambda x, y, v: np.zeros(1),
         hess_yy_parts=hess_parts,
     )
 
@@ -161,7 +161,7 @@ def test_newton_to_tolerance_diverged_carries_residual():
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=lambda x, y: np.array([-1.0]),
-        jac_xy_g=lambda x, y: np.zeros((1, 1)),
+        jac_xy_g_dot=lambda x, y, v: np.zeros(1),
         hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)),
         )
     with pytest.raises(OracleDiverged) as info:

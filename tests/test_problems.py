@@ -49,7 +49,7 @@ def _check_round_derivatives(rnd, x, y, rtol=1e-5):
     np.testing.assert_allclose(gyg, _fd_grad(lambda v: rnd.g(x, v), y), rtol=rtol, atol=1e-7)
     a, d = rnd.hess_yy_parts(x, y)
     hess = np.outer(a, a) + np.diag(d)
-    jac = np.asarray(rnd.jac_xy_g(x, y))
+    jac = np.column_stack([rnd.jac_xy_g_dot(x, y, e) for e in np.eye(y.size)])
     for j in range(y.size):
         e = np.zeros(y.size)
         e[j] = H

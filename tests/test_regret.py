@@ -18,6 +18,7 @@ from oagd import (
     OracleDiverged,
     RoundFunctions,
     StepSizeSchedule,
+    StreamExhausted,
     comparator_series,
     compute_report,
     full_info_run,
@@ -94,7 +95,7 @@ def test_outer_oracle_small_objective_from_box_edge():
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.array([scale * (y[0] - center)]),
         grad_y_g=lambda x, y: np.array([y[0] - x[0]]),
-        jac_xy_g=lambda x, y: np.array([[-1.0]]),
+        jac_xy_g_dot=lambda x, y, v: -v,
         hess_yy_parts=lambda x, y: (np.zeros(1), np.ones(1)),
     )
     fset = FeasibleSet.box([0.0], [3.0])
@@ -464,3 +465,19 @@ def test_compute_report_optional_blocks_off():
     assert report.bl_regret is None
     assert np.isnan(report.h_T)
     assert np.isnan(report.ybar1)
+
+
+def test_measurement_past_the_end_of_the_stream_is_stream_exhausted():
+    """comparator_series and h_estimate asked for 7 rounds of a 5-round
+    stream raise StreamExhausted on the stacked path (QuadraticStream) and
+    on the per-round path (HOStream) alike, naming round 6."""
+    rng = np.random.default_rng(60)
+    streams = (quadratic_stream("alt_sqrt", 5),
+               HOStream(rng.normal(size=(5, 3)), rng.normal(size=5),
+                        rng.normal(size=(5, 3)), rng.normal(size=5)))
+    for stream in streams:
+        fset = FeasibleSet.symmetric_box(1.0, stream.d1)
+        for measure in (comparator_series, h_estimate):
+            with pytest.raises(StreamExhausted) as info:
+                measure(stream, fset, T=7)
+            assert info.value.round_index == 6 and info.value.available == 5
