@@ -399,13 +399,15 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     return _Prepared(stream, fset, constants, d1, d2, dataset=table)
 
 
-#: the derived constants each regime's default step size and default K_t read
+#: the derived constants each regime's default step size and default K_t
+#: read; "^2" marks one the formula squares, in Python floats, whose ** raises
+#: OverflowError where a product gives inf
 _DEFAULTS_READ = {
-    "strongly_convex": (("L_f", "L_y"), ("kappa_g", "L_f", "L_y", "M_f")),
-    "strongly_convex_static": ((), ("kappa_g", "L_y", "M_f")),
-    "convex_dynamic": (("L_f",), ("kappa_g",)),
+    "strongly_convex": (("L_f^2", "L_y^2"), ("kappa_g", "L_f^2", "L_y^2", "M_f^2")),
+    "strongly_convex_static": ((), ("kappa_g", "L_y^2", "M_f^2")),
+    "convex_dynamic": (("L_f^2",), ("kappa_g",)),
     "convex_static": ((), ("kappa_g",)),
-    "nonconvex": (("L_f",), ("kappa_g", "L_y", "M_f")),
+    "nonconvex": (("L_f",), ("kappa_g", "L_y^2", "M_f^2")),
 }
 
 
@@ -430,11 +432,14 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
         )
 
     step_reads, k_reads = _DEFAULTS_READ[cfg.regime]
-    for name in (step_reads if cfg.alpha is None else ()) + (k_reads if cfg.K is None else ()):
-        if not math.isfinite(getattr(derived, name)):
-            raise ConfigError(f"derived constant {name} = {getattr(derived, name)} is not finite: "
-                              f"lower y_bound = {cfg.y_bound:g} or x_high = {cfg.x_high:g}, "
-                              "or set alpha and K")
+    advice = (f"raise x_low = {cfg.x_low:g}, lower y_bound = {cfg.y_bound:g} or x_high = "
+              f"{cfg.x_high:g}, or set alpha and K")
+    for read in (step_reads if cfg.alpha is None else ()) + (k_reads if cfg.K is None else ()):
+        name = read.removesuffix("^2")
+        value = getattr(derived, name)
+        if not math.isfinite(value * value if read != name else value):
+            fault = "overflows float64 when squared" if math.isfinite(value) else "is not finite"
+            raise ConfigError(f"derived constant {name} = {value} {fault}: {advice}")
 
     def need_mu_f():
         if mu_f is None:
@@ -508,7 +513,11 @@ def _set_up(cfg: ExperimentConfig, windows: tuple = (None,)) -> list:
         for w in windows:
             sub = cfg if w is None else replace(cfg, window_w=w, output=f"{cfg.output}_w{w}")
             prep = replace(shared, notes=list(shared.notes))
-            window = make_weights(sub.window_kind, sub.resolved_window(), gamma=sub.window_gamma)
+            w_size = sub.resolved_window()
+            if sub.window_kind == "exponential" and sub.window_gamma ** (w_size - 1) == 0.0:
+                raise ConfigError(f"window_gamma = {sub.window_gamma:g} and window_w = {w_size}: "
+                                  f"the last weight window_gamma^{w_size - 1} underflows to 0")
+            window = make_weights(sub.window_kind, w_size, gamma=sub.window_gamma)
             steps, inner, derived = build_schedules(sub, prep, window)
             runs.append((sub, prep, window, steps, inner, derived, _initial_pair(sub, prep)))
     except ValueError as exc:
@@ -670,6 +679,8 @@ def _parse_windows(text: str) -> list:
         raise ConfigError("--windows must list at least one window size")
     for p in parts:
         _check_window(p, "window size")
+    if len({p.upper() if p.upper() == "T" else int(p) for p in parts}) < len(parts):
+        raise ConfigError(f"--windows lists a window size twice: {text!r}")
     return parts
 
 

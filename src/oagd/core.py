@@ -207,7 +207,9 @@ class RoundFunctions:
     """One round's (f_t, g_t) oracle bundle.
 
     All derivatives are supplied analytically by the problem family; there is
-    no automatic differentiation anywhere. Shapes: x is (d1,), y is (d2,),
+    no automatic differentiation anywhere. g_t enters only through its
+    derivatives, except in damped Newton's Armijo test, which reads g's
+    value from inner_model. Shapes: x is (d1,), y is (d2,),
     jac_xy_g_dot(x, y, v) applies the (d1, d2) cross second derivatives of
     g to a (d2,) v and returns (d1,) without forming them, and
     hess_yy_parts(x, y) returns the inner Hessian, the second derivative of
@@ -216,7 +218,9 @@ class RoundFunctions:
 
     Optional handles:
       inner_model(x): g(x, .) at one x as an InnerModel, its x-dependent
-        factors computed once (inner.inner_model_at adapts other rounds).
+        factors computed once: the one place a round states g's value, and
+        all that damped Newton reads. Without it or closed_form_y_star a
+        round has no inner oracle.
       closed_form_y_star(x): exact inner minimizer. It also accepts a batch
         x of shape (P, d1) and returns the (P, d2) minimizers row by row, so
         a caller can solve a whole point cloud in one call.
@@ -240,7 +244,6 @@ class RoundFunctions:
     """
 
     f: Callable[[np.ndarray, np.ndarray], float]
-    g: Callable[[np.ndarray, np.ndarray], float]
     grad_x_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -20,15 +20,20 @@ import numpy as np
 
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable
-from .hypergrad import WeightWindow, hypergradient
+from .hypergrad import WeightWindow
 from .inner import InnerSchedule, k_for_round
 from .problems import Stream
 
 
 def strongly_convex_c(mu_f: float, constants: DerivedConstants) -> float:
     """The coupling constant c = mu_f^2 / (2 (L_f^2 + L_y^2)) shared by the
-    strongly-convex dynamic step size and its inner iteration count."""
-    return mu_f**2 / (2.0 * (constants.L_f**2 + constants.L_y**2))
+    strongly-convex dynamic step size and its inner iteration count. A c
+    that underflows to 0 (a tiny mu_f, or a huge L_f) is a ValueError."""
+    c = mu_f**2 / (2.0 * (constants.L_f**2 + constants.L_y**2))
+    if c == 0.0:
+        raise ValueError(f"c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0 at mu_f = {mu_f:g} "
+                         f"and L_f = {constants.L_f:g}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,11 @@ class Trace:
 
     Row t-1 holds the PLAYED pair (x_t, y_t) and f_t(x_t, y_t); the
     post-inner decision y_{t+1}; the windowed hypergradient used for the
-    outer step; the schedule values; the residual ||grad_y g_t(x_t,
-    y_{t+1})||; and the round's wall time. f_value and inner_residual only
-    measure a round, so the drivers fill them after their loops, and
-    wall_nanos time the round's algorithm alone. Consecutive rows satisfy
+    outer step (nan in benchmark traces, which take none); the schedule
+    values; the residual ||grad_y g_t(x_t, y_{t+1})||; and the round's
+    wall time. f_value and inner_residual only measure a round, so the
+    drivers fill them after their loops, and wall_nanos time the round's
+    algorithm alone. Consecutive rows satisfy
     x_{t+1} = project(X, x_t - alpha_t * hypergrad_t) for the online driver
     (benchmark traces set alpha_t = 0 and K_t = 0 and step by oracle
     instead). final_x / final_y hold the never-played pair (x_{T+1},
@@ -226,12 +232,12 @@ def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
     closed_form_y_star and closed_form_x_partial; a round without either
     raises OracleUnavailable.
 
-    Trace rows mark oracle steps with K_t = 0 and alpha_t = 0; the recorded
-    hypergradient is the exact one at (x_t, y_{t+1}), kept for diagnostics.
-    It is filled after the loop with f_value and inner_residual
-    (_measure_rounds), so wall_nanos time the two closed forms alone. When
-    the stream has a stacked round, all rounds are played in two calls on it
-    (every x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of
+    Trace rows mark oracle steps with K_t = 0 and alpha_t = 0, and hold
+    nan as the hypergradient, since no step takes one. f_value and
+    inner_residual are filled after the loop (_measure_rounds), so
+    wall_nanos time the two closed forms alone. When the stream has a
+    stacked round, all rounds are played in two calls on it (every
+    x_{t+1}, then every y_{t+1}), and each row's wall_nanos is 1/T of
     those.
     """
     stream.horizon(T)
@@ -263,32 +269,28 @@ def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
             trace.y_after_inner[i] = y_next
             trace.wall_nanos[i] = time.perf_counter_ns() - t0
             x, y = x_next, y_next
+    trace.hypergrad[:] = np.nan
     trace.alpha[:] = 0.0
     trace.beta[:] = 0.0
     trace.K[:] = 0
     trace.final_x = x
     trace.final_y = y
-    _measure_rounds(stream, trace, hypergrad=True)
+    _measure_rounds(stream, trace)
     return trace
 
 
-def _measure_rounds(stream: Stream, trace: Trace, hypergrad: bool = False):
+def _measure_rounds(stream: Stream, trace: Trace):
     """Fill a finished trace's f_value (at the played pair) and
-    inner_residual (at the post-inner y), and with hypergrad its exact
-    hypergradient at (x_t, y_{t+1}): one call each on the stream's stacked
-    round, whose rows carry the per-round bits, or round by round when it
-    has none."""
+    inner_residual (at the post-inner y): one call each on the stream's
+    stacked round, whose rows carry the per-round bits, or round by round
+    when it has none."""
     x, y, y_next = trace.x, trace.y, trace.y_after_inner
     rows = stream.stacked_round(trace.T)
     if rows is not None:
-        if hypergrad:
-            trace.hypergrad[:] = hypergradient(rows, x, y_next)
         trace.f_value[:] = rows.f(x, y)
         trace.inner_residual[:] = np.linalg.norm(rows.grad_y_g(x, y_next), axis=1)
         return
     for i in range(trace.T):
         rnd = stream[i]
-        if hypergrad:
-            trace.hypergrad[i] = hypergradient(rnd, x[i], y_next[i])
         trace.f_value[i] = rnd.f(x[i], y[i])
         trace.inner_residual[i] = np.linalg.norm(rnd.grad_y_g(x[i], y_next[i]))

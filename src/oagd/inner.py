@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import DerivedConstants, FeasibleSet, InnerModel, RoundFunctions, project
 from .errors import FactorizationFailure, NonFiniteIterate, OracleDiverged
-from .hypergrad import sm_solve
 
 #: default cap on per-round inner iteration counts; hitting it is recorded
 #: as an off-schedule warning rather than silently looping for hours.
@@ -71,23 +70,12 @@ def _resolvable(decrease: float, value: float) -> bool:
     return decrease > 1e-15 * max(abs(value), 1e-300)
 
 
-def inner_model_at(r: RoundFunctions, x: np.ndarray) -> InnerModel:
-    """r.inner_model(x), else the model calling r's g, grad_y_g and
-    sm_solve on its hess_yy_parts (quadratic and hand-built rounds)."""
-    if r.inner_model is not None:
-        return r.inner_model(x)
-    return InnerModel(
-        lambda z: (float(r.g(x, z)), np.asarray(r.grad_y_g(x, z), dtype=float)),
-        lambda z, rhs: sm_solve(*r.hess_yy_parts(x, z), rhs),
-    )
-
-
 def newton_to_tolerance(model: InnerModel, y_init: np.ndarray, tol: float) -> np.ndarray:
     """Damped Newton on g(x, .) until ||grad_y g|| <= tol (oracle use, not
     part of the online algorithm).
 
-    It reads g(x, .) only through its inner model at one x (inner_model_at
-    gives a round's). Each iteration takes d = -model.solve(z, grad_y g)
+    It reads g(x, .) only through its inner model at one x (a round's
+    inner_model(x)). Each iteration takes d = -model.solve(z, grad_y g)
     and halves a unit step s until the Armijo condition
     g(z + s d) <= g(z) + 1e-4 s grad^T d holds; once that required decrease
     is below float64 resolution of g, strict descent of the gradient norm

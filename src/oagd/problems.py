@@ -20,9 +20,10 @@ Three families, all exposing analytic derivatives through RoundFunctions:
 
 Every round states its inner Hessian as diag(d) + a a^T (hess_yy_parts):
 a = 0 and d = 1 for the quadratic, the training row a and the penalty's
-diagonal for the regression families, whose inner models solve it by
-Sherman-Morrison. Only the fit on a whole training split
-(HOStream.full_batch_model) has a dense Hessian, A^T A / n + diag(d).
+diagonal for the regression families. Each round states g's value once, in
+its inner model, which solves with that Hessian by Sherman-Morrison. Only
+the fit on a whole training split (HOStream.full_batch_model) has a dense
+Hessian, A^T A / n + diag(d).
 
 Every stream is a Stream: a sequence of RoundFunctions (stream[i] builds
 round i anew on every call) plus the methods the online loop and the
@@ -152,17 +153,19 @@ def quadratic_round(
     def f(x, y):
         return 0.5 * (x[0] + 2.0 * a1) ** 2 + 0.5 * (y[0] - a2) ** 2 + a3
 
-    def g(x, y):
-        return 0.5 * y[0] ** 2 - (x[0] - a2) * y[0] + a4
+    def grad_y_g(x, y):
+        return np.array([y[0] - x[0] + a2])
 
     return RoundFunctions(
         f=f,
-        g=g,
         grad_x_f=lambda x, y: np.array([x[0] + 2.0 * a1]),
         grad_y_f=lambda x, y: np.array([y[0] - a2]),
-        grad_y_g=lambda x, y: np.array([y[0] - x[0] + a2]),
+        grad_y_g=grad_y_g,
         jac_xy_g_dot=lambda x, y, v: -v,
         hess_yy_parts=_quad_hess_yy_parts,
+        inner_model=lambda x: InnerModel(
+            lambda z: (float(0.5 * z[0] ** 2 - (x[0] - a2) * z[0] + a4), grad_y_g(x, z)),
+            lambda z, rhs: sm_solve(*_QUAD_HESS_PARTS, rhs)),
         closed_form_y_star=lambda x: np.asarray(x, dtype=float)[..., :1] - a2,
         closed_form_x_star=lambda: project(fset, np.array([a2 - a1])),
         closed_form_x_partial=lambda y: project(fset, np.array([-2.0 * a1])),
@@ -208,8 +211,8 @@ class QuadraticStream(Stream):
     def stacked_round(self, T: int, start: int = 0) -> RoundFunctions:
         """Rounds start + 1..T as one RoundFunctions over a leading round
         axis of n = T - start rows: row t - start - 1 of x (n, 1) and
-        y (n, 1) is evaluated with round t's coefficients. f and g give
-        (n,), the gradients (n, 1), jac_xy_g_dot -v, hess_yy_parts the
+        y (n, 1) is evaluated with round t's coefficients. f gives (n,),
+        the gradients (n, 1), jac_xy_g_dot -v, hess_yy_parts the
         shared a = 0 and an (n, 1) d = 1, both closed-form comparators
         (n, 1), and closed_form_y_star(x) (n, 1),
         or (n, P, 1) for a cloud x of shape (n, P, 1).
@@ -220,7 +223,7 @@ class QuadraticStream(Stream):
         the last bit on about 0.1% of inputs).
         """
         n = self.horizon(T) - start
-        a1, a2, a3, a4 = (c[start:T] for c in (self.a1, self.a2, self.a3, self.a4))
+        a1, a2, a3 = (c[start:T] for c in (self.a1, self.a2, self.a3))
         a1c, a2c = a1[:, None], a2[:, None]
         fset = self.fset
         parts = (_QUAD_HESS_PARTS[0], np.broadcast_to(1.0, (n, 1)))
@@ -229,16 +232,12 @@ class QuadraticStream(Stream):
             return (0.5 * np.float_power(x[:, 0] + 2.0 * a1, 2)
                     + 0.5 * np.float_power(y[:, 0] - a2, 2) + a3)
 
-        def g(x, y):
-            return 0.5 * np.float_power(y[:, 0], 2) - (x[:, 0] - a2) * y[:, 0] + a4
-
         def closed_form_y_star(x):
             x = np.asarray(x, dtype=float)
             return x[..., :1] - a2.reshape((n,) + (1,) * (x.ndim - 1))
 
         return RoundFunctions(
             f=f,
-            g=g,
             grad_x_f=lambda x, y: x + 2.0 * a1c,
             grad_y_f=lambda x, y: y - a2c,
             grad_y_g=lambda x, y: y - x + a2c,
@@ -453,18 +452,13 @@ class HOStream(Stream):
             raise IndexError(i)
         av, bv = self.A_val[i], float(self.b_val[i])
         a, rhs = self.A_train[i], self.b_train[i] * self.A_train[i]
-
-        def hess_yy_parts(x, y):
-            return a, self._penalty(3, x, y)
-
         return RoundFunctions(
             f=lambda x, y: 0.5 * (av @ y - bv) ** 2,
-            g=lambda x, y: self._round_at(i, x).value_grad(y)[0],
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: av * (av @ y - bv),
             grad_y_g=lambda x, y: self._round_at(i, x, False)(y),
             jac_xy_g_dot=lambda x, y, v: self._jac_dot(x, self._penalty(4, x, y), v),
-            hess_yy_parts=hess_yy_parts,
+            hess_yy_parts=lambda x, y: (a, self._penalty(3, x, y)),
             inner_model=lambda x: self._round_at(i, x),
             # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
             closed_form_y_star=None if self.smoothing else (

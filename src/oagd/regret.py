@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .core import FeasibleSet, project
-from .errors import ConfigError, NonConvexFlag, OracleDiverged
+from .errors import ConfigError, NonConvexFlag, OracleDiverged, OracleUnavailable
 from .hypergrad import WeightWindow, hypergradient
-from .inner import inner_model_at, newton_to_tolerance, pgd_to_stationarity
+from .inner import newton_to_tolerance, pgd_to_stationarity
 from .problems import Stream
 
 INNER_ORACLE_TOL = 1e-12
@@ -36,17 +36,20 @@ OUTER_ORACLE_TOL = 1e-10
 def inner_oracle(round_fns, x, y0: Optional[np.ndarray] = None) -> np.ndarray:
     """y*_t(x) at one point x (d1,), or at every row of a batch x (P, d1)
     with y0 (P, d2): the closed form when available (one call for the whole
-    batch), else damped Newton per point from y0 until the inner gradient
-    norm falls below INNER_ORACLE_TOL."""
+    batch), else damped Newton per point on the round's inner_model, from
+    y0 until the inner gradient norm falls below INNER_ORACLE_TOL. A round
+    with neither is OracleUnavailable."""
     if round_fns.closed_form_y_star is not None:
         return np.asarray(round_fns.closed_form_y_star(x), dtype=float)
+    if round_fns.inner_model is None:
+        raise OracleUnavailable("round has neither a closed-form inner solution nor an inner model")
     if y0 is None:
         raise ValueError("y0 is required when the round has no closed-form inner solution")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return np.array([newton_to_tolerance(inner_model_at(round_fns, p), y, INNER_ORACLE_TOL)
+        return np.array([newton_to_tolerance(round_fns.inner_model(p), y, INNER_ORACLE_TOL)
                          for p, y in zip(x, y0)])
-    return newton_to_tolerance(inner_model_at(round_fns, x), y0, INNER_ORACLE_TOL)
+    return newton_to_tolerance(round_fns.inner_model(x), y0, INNER_ORACLE_TOL)
 
 
 @contextmanager
@@ -145,38 +148,36 @@ def comparator_series(stream: Stream, fset: FeasibleSet, T: Optional[int] = None
             grad_norm=np.linalg.norm(hypergradient(rows, x_star, y_star), axis=1),
             provenance="closed_form",
         )
-        if include_static:
-            attach_static(series, stream, fset, tol=tol)
-        return series
-    x_star = np.empty((T, stream.d1))
-    y_star = np.empty((T, stream.d2))
-    f_star = np.empty(T)
-    grad_norm = np.empty(T)
-    closed = numerical = False
-    x_prev = project(fset, np.zeros(stream.d1))
-    y_prev = np.zeros(stream.d2)
-    for t in range(T):
-        rnd = stream[t]
-        closed |= rnd.closed_form_x_star is not None
-        numerical |= rnd.closed_form_x_star is None
-        with _oracle_round(t + 1):
-            xs = outer_oracle(rnd, fset, tol=tol, x0=x_prev, y0=y_prev)
-            ys = inner_oracle(rnd, xs, y0=y_prev)
-        x_star[t] = xs
-        y_star[t] = ys
-        f_star[t] = rnd.f(xs, ys)
-        grad_norm[t] = np.linalg.norm(hypergradient(rnd, xs, ys))
-        x_prev, y_prev = xs, ys
-    if closed and numerical:
-        provenance = "mixed"
-    elif closed:
-        provenance = "closed_form"
     else:
-        provenance = f"numerical(tol={tol:g})"
-    series = ComparatorSeries(
-        x_star=x_star, y_star=y_star, f_star=f_star,
-        grad_norm=grad_norm, provenance=provenance,
-    )
+        x_star = np.empty((T, stream.d1))
+        y_star = np.empty((T, stream.d2))
+        f_star = np.empty(T)
+        grad_norm = np.empty(T)
+        closed = numerical = False
+        x_prev = project(fset, np.zeros(stream.d1))
+        y_prev = np.zeros(stream.d2)
+        for t in range(T):
+            rnd = stream[t]
+            closed |= rnd.closed_form_x_star is not None
+            numerical |= rnd.closed_form_x_star is None
+            with _oracle_round(t + 1):
+                xs = outer_oracle(rnd, fset, tol=tol, x0=x_prev, y0=y_prev)
+                ys = inner_oracle(rnd, xs, y0=y_prev)
+            x_star[t] = xs
+            y_star[t] = ys
+            f_star[t] = rnd.f(xs, ys)
+            grad_norm[t] = np.linalg.norm(hypergradient(rnd, xs, ys))
+            x_prev, y_prev = xs, ys
+        if closed and numerical:
+            provenance = "mixed"
+        elif closed:
+            provenance = "closed_form"
+        else:
+            provenance = f"numerical(tol={tol:g})"
+        series = ComparatorSeries(
+            x_star=x_star, y_star=y_star, f_star=f_star,
+            grad_norm=grad_norm, provenance=provenance,
+        )
     if include_static:
         attach_static(series, stream, fset, tol=tol)
     return series

@@ -115,7 +115,6 @@ def test_criterion_03_inner_contraction_rate():
 
         rnd = RoundFunctions(
             f=lambda x, y: 0.0,
-            g=lambda x, y, diag=diag, y_star=y_star: 0.5 * float(diag @ (y - y_star) ** 2),
             grad_x_f=lambda x, y: np.zeros(1),
             grad_y_f=lambda x, y: np.zeros(d2),
             grad_y_g=grad,
@@ -408,10 +407,11 @@ def test_criterion_10_elastic_net_end_to_end(tmp_path):
         rnd = stream[t]
         y = rng.normal(size=8) * 0.3
         grad = np.asarray(rnd.grad_y_g(x, y))
+        value_grad = rnd.inner_model(x).value_grad
         for j in (0, 3, 7):
             e = np.zeros(8)
             e[j] = h
-            fd = (rnd.g(x, y + e) - rnd.g(x, y - e)) / (2.0 * h)
+            fd = (value_grad(y + e)[0] - value_grad(y - e)[0]) / (2.0 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
         # every window term factorizes: sm_solve and its residual check
         # (SOLVE_RESIDUAL_RTOL) inside the hypergradient

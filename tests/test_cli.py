@@ -419,7 +419,8 @@ def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_pat
     regime whose default step size or K_t reads one fails validate with a
     ConfigError naming it and y_bound / x_high, instead of a raw ValueError
     (nonconvex), a zero step (convex_dynamic) or "c must be positive"
-    (strongly_convex); with alpha and K set, none is read."""
+    (strongly_convex); with alpha and K set, none is read. So do finite
+    constants that overflow the defaults' formulas (below)."""
     base = "problem = synthetic\nT = 20\nd2 = 2\ny_bound = 1e200\n"
     regimes = {"nonconvex": "", "strongly_convex": "mu_f = 0.1\n",
                "convex_dynamic": "set_kind = box\nset_lower = 0\nset_upper = 3\n"}
@@ -433,6 +434,33 @@ def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_pat
         path = _write(tmp_path / f"{regime}_set.cfg",
                       base + extra + f"regime = {regime}\nalpha = 0.01\nK = 5\n")
         assert main(["validate", "--config", path]) == 0, regime
+
+    # finite constants that overflow the defaults' formulas, which square
+    # them in Python floats (OverflowError, not inf), also fail validate
+    # with a ConfigError naming the constant:
+    # - y_bound = 1e100: L_f = 4.5e208 squared (convex_dynamic,
+    #   strongly_convex), M_f = 9.7e205 squared (nonconvex, whose run died);
+    # - mu_f = 1e-300 on a quadratic: c underflows to 0, also with K set,
+    #   where the default step would be alpha = 0
+    syn = "problem = synthetic\nT = 20\nd2 = 2\n"
+    cases = {
+        "convex_dynamic": (syn + "y_bound = 1e100\n", r"L_f = 4\.47\d*e\+208"),
+        "strongly_convex": (syn + "y_bound = 1e100\nmu_f = 0.001\n", r"L_f = 4\.47\d*e\+208"),
+        "nonconvex": (syn + "y_bound = 1e100\n", r"M_f = 9\.73\d*e\+205"),
+    }
+    for regime, (cfg, named) in cases.items():
+        path = _write(tmp_path / f"{regime}.cfg", cfg + f"regime = {regime}\n")
+        assert main(["validate", "--config", path]) == 1, regime
+        err = capsys.readouterr().err
+        assert re.fullmatch("error_category=ConfigError\nderived constant " + named
+                            + r" overflows float64 when squared: raise x_low = -3, lower "
+                            r"y_bound = 1e\+100 or x_high = 3, or set alpha and K\n", err), err
+    quad = "problem = quadratic\nT = 20\nregime = strongly_convex\nmu_f = 1e-300\n"
+    for extra in ("", "K = 3\n"):
+        assert main(["validate", "--config", _write(tmp_path / "q.cfg", quad + extra)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error_category=ConfigError\n"
+                              "c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0 at mu_f = 1e-300"), err
 
 
 def test_run_refuses_h_estimate_on_a_box_wider_than_float64(tmp_path, capsys):
@@ -449,6 +477,17 @@ def test_run_refuses_h_estimate_on_a_box_wider_than_float64(tmp_path, capsys):
     assert main(["run", "--config", path]) == 0
     meta = (tmp_path / "wide.meta.txt").read_text(encoding="utf-8")
     assert "report.h_T = nan" in meta
+
+
+def test_readme_library_quickstart_runs(capsys):
+    """The README's library quickstart runs as written and prints three
+    finite numbers: the final dynamic regret, P_1 and Y_1."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library quickstart")) + len("```python\n")
+    code = readme[start:readme.index("```\n", start)]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3 and all(math.isfinite(float(v)) for v in printed)
 
 
 def test_readme_key_table_lists_every_config_key():
@@ -704,6 +743,34 @@ def test_sweep_reports_errors_as_run_does(tmp_path, capsys):
         "error_category=StreamExhausted\n"
         "stream exhausted at round 101 (only 100 rounds available)\n"
     )
+
+
+def test_sweep_rejects_a_window_listed_twice(tmp_path, capsys):
+    """A window size listed twice (as written, with leading zeros, or as
+    t and T) is a ConfigError before anything runs or is written."""
+    path = _write(tmp_path / "c.cfg", QUAD_CFG.format(out=tmp_path / "sw"))
+    for windows in ("2,2", "1,02,2", "T,1,t"):
+        assert main(["sweep", "--config", path, "--windows", windows]) == 1
+        assert capsys.readouterr().err == (
+            "error_category=ConfigError\n"
+            f"--windows lists a window size twice: {windows!r}\n")
+    assert not list(tmp_path.glob("sw*"))
+
+
+def test_validate_names_the_keys_when_exponential_weights_underflow(tmp_path, capsys):
+    """window_gamma = 0.9 over window_w = T: 0.9^i underflows to 0 from
+    i = 7073, so T = 8000 fails validate with a ConfigError naming both
+    keys, and T = 6000 validates."""
+    text = ("problem = quadratic\nregime = convex_static\nwindow_kind = exponential\n"
+            "window_gamma = 0.9\nwindow_w = T\n")
+    path = _write(tmp_path / "c.cfg", text + "T = 8000\n")
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error_category=ConfigError\n"
+        "window_gamma = 0.9 and window_w = 8000: the last weight window_gamma^7999 "
+        "underflows to 0\n")
+    path = _write(tmp_path / "c.cfg", text + "T = 6000\n")
+    assert main(["validate", "--config", path]) == 0
 
 
 def test_run_without_output_rejected():

@@ -264,8 +264,9 @@ def test_full_info_stacked_matches_round_by_round():
     """On a quadratic stream full_info_run plays every round from its
     stacked round in two calls; every trace array but wall_nanos, and the
     final pair, equal bit for bit those of the same rounds played one by
-    one (Stream's default stacked_round, None). wall_nanos splits the two
-    calls' time evenly over the rows."""
+    one (Stream's default stacked_round, None), hypergrad being nan in
+    both, since the benchmark takes no hypergradient step. wall_nanos
+    splits the two calls' time evenly over the rows."""
     for fset in (FeasibleSet.symmetric_box(1.0, 1), FeasibleSet.ball(np.zeros(1), 0.3)):
         stream = quadratic_stream("alt_sqrt", T=300, fset=fset)
         init = DecisionPair(x=np.array([0.25]), y=np.array([-0.6]))
@@ -273,7 +274,8 @@ def test_full_info_stacked_matches_round_by_round():
         ref = full_info_run(with_defaults(stream, "stacked_round"), init, T=300)
         for name in ("x", "y", "y_after_inner", "hypergrad", "alpha", "beta", "K",
                      "f_value", "inner_residual", "final_x", "final_y"):
-            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(tr, name), getattr(ref, name), equal_nan=True), name
+        assert np.isnan(tr.hypergrad).all()
         assert np.all(tr.wall_nanos == tr.wall_nanos[0]) and tr.wall_nanos[0] >= 0
 
 

@@ -156,7 +156,7 @@ def _stacked(rounds):
         return a[0], np.array(d)
 
     return RoundFunctions(
-        f=rows("f"), g=rows("g"), grad_x_f=rows("grad_x_f"), grad_y_f=rows("grad_y_f"),
+        f=rows("f"), grad_x_f=rows("grad_x_f"), grad_y_f=rows("grad_y_f"),
         grad_y_g=rows("grad_y_g"), hess_yy_parts=parts,
         jac_xy_g_dot=lambda x, y, v: np.array(
             [r.jac_xy_g_dot(p, q, w) for r, p, q, w in zip(rounds, x, y, v)]),
@@ -232,7 +232,6 @@ def _coupled_round(c1: float, c2: float) -> RoundFunctions:
 
     return RoundFunctions(
         f=lambda x, y: 0.5 * float((y - c1 * lift(x)) @ (y - c1 * lift(x))),
-        g=lambda x, y: 0.5 * float(y @ H @ y) - c2 * float(x @ B @ y),
         grad_x_f=lambda x, y: -c1 * (y[:2] - c1 * x),
         grad_y_f=lambda x, y: y - c1 * lift(x),
         grad_y_g=lambda x, y: H @ y - c2 * B.T @ x,

@@ -1,6 +1,5 @@
 """Tests for the inner gradient-descent step, the to-tolerance oracles, and
 the iteration-count schedules."""
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,8 @@ from oagd import (
 )
 from oagd import inner
 from oagd.core import FeasibleSet, InnerModel
-from oagd.inner import DEFAULT_K_MAX, inner_model_at, pgd_to_stationarity
+from oagd.hypergrad import sm_solve
+from oagd.inner import DEFAULT_K_MAX, pgd_to_stationarity
 
 
 def _diag_quadratic(diag) -> RoundFunctions:
@@ -31,7 +31,6 @@ def _diag_quadratic(diag) -> RoundFunctions:
     d = np.asarray(diag, dtype=float)
     return RoundFunctions(
         f=lambda x, y: 0.0,
-        g=lambda x, y: 0.5 * float(d @ (y * y)),
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros_like(y),
         grad_y_g=lambda x, y: d * y,
@@ -58,7 +57,6 @@ def test_inner_gd_exact_step_for_unit_curvature():
 
     rnd = RoundFunctions(
         f=lambda x, y: 0.0,
-        g=lambda x, y: 0.5 * y[0] ** 2 - c * y[0],
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
@@ -114,7 +112,7 @@ def test_newton_to_tolerance_reaches_residual():
     rng = np.random.default_rng(6)
     rnd = quadratic_round(0.4, -0.7)
     x = np.array([0.3])
-    out = newton_to_tolerance(inner_model_at(rnd, x), rng.normal(size=1), tol=1e-12)
+    out = newton_to_tolerance(rnd.inner_model(x), rng.normal(size=1), tol=1e-12)
     np.testing.assert_allclose(out, rnd.closed_form_y_star(x), atol=1e-11)
     assert np.linalg.norm(rnd.grad_y_g(x, out)) <= 1e-12
 
@@ -123,23 +121,25 @@ def _smoothed_abs_round() -> RoundFunctions:
     """g(y) = sqrt(y^2 + 0.01) + 0.5 (y - 1)^2, x unused; f = 0."""
     mu2 = 0.01
 
-    def g(x, y):
-        return float(np.sqrt(y[0] ** 2 + mu2) + 0.5 * (y[0] - 1.0) ** 2)
-
     def grad(x, y):
         return np.array([y[0] / np.sqrt(y[0] ** 2 + mu2) + (y[0] - 1.0)])
 
     def hess_parts(x, y):
         return np.zeros(1), np.array([mu2 / (y[0] ** 2 + mu2) ** 1.5 + 1.0])
 
+    def inner_model(x):
+        return InnerModel(
+            lambda z: (float(np.sqrt(z[0] ** 2 + mu2) + 0.5 * (z[0] - 1.0) ** 2), grad(x, z)),
+            lambda z, rhs: sm_solve(*hess_parts(x, z), rhs))
+
     return RoundFunctions(
         f=lambda x, y: 0.0,
-        g=g,
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.zeros(1),
         grad_y_g=grad,
         jac_xy_g_dot=lambda x, y, v: np.zeros(1),
         hess_yy_parts=hess_parts,
+        inner_model=inner_model,
     )
 
 
@@ -148,24 +148,17 @@ def test_newton_to_tolerance_nonquadratic():
     has a curvature peak at 0 that a fixed step estimated elsewhere would
     miss."""
     rnd = _smoothed_abs_round()
-    out = newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), np.array([5.0]), tol=1e-10)
+    out = newton_to_tolerance(rnd.inner_model(np.zeros(1)), np.array([5.0]), tol=1e-10)
     assert abs(rnd.grad_y_g(None, out)[0]) <= 1e-10
 
 
 def test_newton_to_tolerance_diverged_carries_residual():
     """An inner objective with no finite minimizer exhausts the step search;
     the raised error reports the last residual."""
-    rnd = RoundFunctions(
-        f=lambda x, y: 0.0,
-        g=lambda x, y: float(-(y[0])),
-        grad_x_f=lambda x, y: np.zeros(1),
-        grad_y_f=lambda x, y: np.zeros(1),
-        grad_y_g=lambda x, y: np.array([-1.0]),
-        jac_xy_g_dot=lambda x, y, v: np.zeros(1),
-        hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)),
-        )
+    model = InnerModel(lambda z: (float(-(z[0])), np.array([-1.0])),
+                       lambda z, rhs: sm_solve(np.zeros(1), np.zeros(1), rhs))
     with pytest.raises(OracleDiverged) as info:
-        newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), np.zeros(1), tol=1e-10)
+        newton_to_tolerance(model, np.zeros(1), tol=1e-10)
     assert info.value.residual == pytest.approx(1.0)
 
 
@@ -195,7 +188,7 @@ def test_newton_to_tolerance_iteration_cap(monkeypatch):
     start = np.array([5.0])
     monkeypatch.setattr(inner, "NEWTON_MAX_ITERS", 2)
     with pytest.raises(OracleDiverged, match=r"above tol 1\.0e-10 after 2 iterations") as info:
-        newton_to_tolerance(inner_model_at(rnd, np.zeros(1)), start, tol=1e-10)
+        newton_to_tolerance(rnd.inner_model(np.zeros(1)), start, tol=1e-10)
     assert 1e-10 < info.value.residual < abs(rnd.grad_y_g(None, start)[0])
 
 
@@ -238,13 +231,12 @@ def test_newton_to_tolerance_elastic_net_gradient_budget():
 
 
 
-def test_inner_model_matches_generic_adapter_bit_for_bit():
-    """A regression round's own inner model and the generic adapter (the
-    same round with inner_model removed, read through g, grad_y_g and
-    hess_yy_parts) give np.array_equal Newton solves, on HOStream with
-    d1 = 1 and d1 = d2 and ElasticNetStream with d1 = d2 + 1 and 2 d2, at
-    random (x, y). One fused follower step equals z - beta value_grad(z)[1]
-    bit for bit."""
+def test_inner_model_matches_round_handles_bit_for_bit():
+    """A regression round's inner model agrees bit for bit with the round's
+    other handles, on HOStream with d1 = 1 and d1 = d2 and ElasticNetStream
+    with d1 = d2 + 1 and 2 d2, at random (x, y): its gradient with
+    grad_y_g, and its solve with sm_solve on hess_yy_parts. One fused
+    follower step equals z - beta value_grad(z)[1] bit for bit."""
     rng = np.random.default_rng(57)
     d2 = 5
     tables = _regression_tables(d2, seed=11)
@@ -254,14 +246,13 @@ def test_inner_model_matches_generic_adapter_bit_for_bit():
     for stream in streams:
         for t in (0, 4):
             rnd = stream[t]
-            generic = dataclasses.replace(rnd, inner_model=None)
             for _ in range(3):
                 x, y = rng.uniform(-1.5, 1.5, size=stream.d1), rng.normal(size=d2)
-                out = newton_to_tolerance(inner_model_at(rnd, x), y, tol=1e-12)
-                assert np.array_equal(out, newton_to_tolerance(inner_model_at(generic, x), y,
-                                                               tol=1e-12))
+                model, rhs = rnd.inner_model(x), rng.normal(size=d2)
+                assert np.array_equal(model.value_grad(y)[1], rnd.grad_y_g(x, y))
+                assert np.array_equal(model.solve(y, rhs), sm_solve(*rnd.hess_yy_parts(x, y), rhs))
                 step = stream.inner_steps(t + 1, x, y, 0.05, 1)
-                assert np.array_equal(step, y - 0.05 * rnd.inner_model(x).value_grad(y)[1])
+                assert np.array_equal(step, y - 0.05 * model.value_grad(y)[1])
 
 
 def test_pgd_to_stationarity_projected_minimum():

@@ -16,6 +16,7 @@ from oagd import (
     InnerSchedule,
     NonConvexFlag,
     OracleDiverged,
+    OracleUnavailable,
     RoundFunctions,
     StepSizeSchedule,
     StreamExhausted,
@@ -33,6 +34,8 @@ from oagd import (
     quadratic_round,
     quadratic_stream,
 )
+from oagd.core import InnerModel
+from oagd.hypergrad import sm_solve
 from oagd.regret import (
     H_BLOCK_ROUNDS,
     INNER_ORACLE_TOL,
@@ -65,6 +68,17 @@ def test_inner_oracle_numeric_matches_closed_form():
         inner_oracle(_strip(rnd), x)
 
 
+def test_inner_oracle_unavailable_without_closed_form_or_model():
+    """A round with neither closed_form_y_star nor inner_model has no inner
+    oracle: inner_oracle raises OracleUnavailable at one point and on a
+    batch, whatever the warm start."""
+    rnd = dataclasses.replace(_strip(quadratic_round(0.2, 0.5)), inner_model=None)
+    with pytest.raises(OracleUnavailable, match="neither a closed-form inner solution"):
+        inner_oracle(rnd, np.array([0.3]), y0=np.array([2.0]))
+    with pytest.raises(OracleUnavailable):
+        inner_oracle(rnd, np.zeros((3, 1)), y0=np.zeros((3, 1)))
+
+
 def test_outer_oracle_closed_form_example():
     """quadratic with a1 = 0.2, a2 = 0.5: x* = a2 - a1 = 0.3."""
     rnd = quadratic_round(0.2, 0.5)
@@ -89,14 +103,19 @@ def test_outer_oracle_small_objective_from_box_edge():
     the float64 resolution of phi and the solve must reach the interior
     minimizer instead of stalling."""
     scale, center, offset = 1.96e-6, 2.2346, 2.86e-7
+
+    def grad_y_g(x, y):
+        return np.array([y[0] - x[0]])
+
     rnd = RoundFunctions(
         f=lambda x, y: scale * 0.5 * (y[0] - center) ** 2 + offset,
-        g=lambda x, y: 0.5 * y[0] ** 2 - x[0] * y[0],
         grad_x_f=lambda x, y: np.zeros(1),
         grad_y_f=lambda x, y: np.array([scale * (y[0] - center)]),
-        grad_y_g=lambda x, y: np.array([y[0] - x[0]]),
+        grad_y_g=grad_y_g,
         jac_xy_g_dot=lambda x, y, v: -v,
         hess_yy_parts=lambda x, y: (np.zeros(1), np.ones(1)),
+        inner_model=lambda x: InnerModel(
+            lambda z: (float(0.5 * z[0] ** 2 - x[0] * z[0]), grad_y_g(x, z)), lambda z, rhs: rhs),
     )
     fset = FeasibleSet.box([0.0], [3.0])
     out = outer_oracle(rnd, fset, tol=1e-10, x0=np.array([3.0]), y0=np.zeros(1))
@@ -160,8 +179,7 @@ def test_stacked_quadratic_measurement_matches_per_round():
     and local_regret_series what Stream's defaults for them (the per-round
     paths) give over the first T = 25 of 40 rounds: comparators
     exactly and their values within 1e-15 relative; both drivers' traces
-    bit for bit except wall_nanos, and the stacked g on the trace's rows bit
-    for bit; local regret bit for bit at w = 1 and
+    bit for bit except wall_nanos; local regret bit for bit at w = 1 and
     within 1e-15 relative for longer windows, whose sums run in another
     order."""
     T = 25
@@ -184,9 +202,6 @@ def test_stacked_quadratic_measurement_matches_per_round():
         run = (init, fset, windows[3], StepSizeSchedule.constant(0.3),
                InnerSchedule.fixed(beta=0.5, K=3))
         trace = oagd_run(stream, *run, T=T)
-        x, y = trace.x, trace.y_after_inner
-        _assert_same_bits(stream.stacked_round(T).g(x, y),
-                          [stream[i].g(x[i], y[i]) for i in range(T)], "g")
         for got, ref in ((trace, oagd_run(per_round, *run, T=T)),
                          (full_info_run(stream, init, T), full_info_run(per_round, init, T))):
             for name in TRACE_FIELDS:
@@ -203,15 +218,13 @@ def test_stacked_quadratic_measurement_matches_per_round():
 
     # draws from [-3, 3] whose np.float_power(v, 2), the round's scalar
     # v ** 2, differs from v * v in the last bit, which no trace above
-    # meets; with a1 = a2 = 0 each square decides its row's f or g alone
+    # meets; with a1 = a2 = 0 each square decides its row's f alone
     x_sq, y_sq = -1.3275170599102342, -1.849539948621794
     assert np.float_power(x_sq, 2) != x_sq * x_sq and np.float_power(y_sq, 2) != y_sq * y_sq
     stream = quadratic_stream("constant", 2)
-    stacked = stream.stacked_round(2)
     x, y = np.array([[x_sq], [0.0]]), np.array([[0.0], [y_sq]])
-    for name in ("f", "g"):
-        _assert_same_bits(getattr(stacked, name)(x, y),
-                          [getattr(stream[i], name)(x[i], y[i]) for i in range(2)], name)
+    _assert_same_bits(stream.stacked_round(2).f(x, y),
+                      [stream[i].f(x[i], y[i]) for i in range(2)], "f")
 
 
 def test_comparator_series_numeric_provenance():
@@ -227,12 +240,13 @@ def test_comparator_series_numeric_provenance():
 
 
 def test_oracle_failure_names_its_round():
-    """Round 3's inner Hessian diagonal is 0, so its Newton solve fails;
-    comparator_series and the per-round paths of h_estimate and
-    local_regret_series raise OracleDiverged with round_index 3 and the
-    finite residual Newton stopped at."""
-    bad = dataclasses.replace(_strip(quadratic_round(0.3, 0.5)),
-                              hess_yy_parts=lambda x, y: (np.zeros(1), np.zeros(1)))
+    """Round 3's inner model solves with a zero Hessian diagonal, so its
+    Newton solve fails; comparator_series and the per-round paths of
+    h_estimate and local_regret_series raise OracleDiverged with
+    round_index 3 and the finite residual Newton stopped at."""
+    good = _strip(quadratic_round(0.3, 0.5))
+    bad = dataclasses.replace(good, inner_model=lambda x: good.inner_model(x)._replace(
+        solve=lambda z, rhs: sm_solve(np.zeros(1), np.zeros(1), rhs)))
     rounds = [_strip(quadratic_round(0.1, 0.4)), _strip(quadratic_round(0.2, -0.3)), bad,
               _strip(quadratic_round(0.0, 0.1))]
     stream, fset = ListStream(rounds), FeasibleSet.symmetric_box(1.0, 1)
