@@ -626,10 +626,13 @@ def test_error(prep: _Prepared, x_final: np.ndarray) -> float:
 def _run(base: ExperimentConfig, windows: tuple, write: bool):
     """Yield (trace, report, meta lines) per window, one after another,
     all measured against one comparator series, solved after the first
-    window's loop so that a loop that fails does so before the oracle."""
+    window's loop so that a loop that fails does so before the oracle.
+    On a box or ball H_T's point cloud ignores the trace, so the first
+    window's H_T serves every window; on an unbounded set it spans the
+    trace's x range and is estimated per window."""
     if write and not base.output:
         raise ConfigError("the config has no output path")
-    comparators = None
+    comparators = h_T = base_trace = None
     for cfg, prep, window, steps, inner, derived, init in _set_up(base, windows):
         trace = oagd_run(prep.stream, init, prep.fset, window, steps, inner,
                          cfg.T, constants=derived)
@@ -641,12 +644,18 @@ def _run(base: ExperimentConfig, windows: tuple, write: bool):
             )
         report = compute_report(trace, prep.stream, prep.fset, window, comparators,
                                 h_samples=cfg.h_samples, include_local=cfg.report_local,
-                                include_h=cfg.report_h)
+                                include_h=cfg.report_h and h_T is None)
+        if h_T is not None:
+            report.h_T = h_T
+        elif prep.fset.kind != "unbounded":
+            h_T = report.h_T
         meta = _meta_lines(cfg, prep, window, steps, inner, derived, trace, report)
         if prep.dataset is not None:
             meta.append(f"test_error = {test_error(prep, trace.final_x)!r}")
         if cfg.baseline == "full_info":
-            base_trace = full_info_run(prep.stream, init, cfg.T)
+            # the baseline's trace does not read the window: one run serves the sweep
+            if base_trace is None:
+                base_trace = full_info_run(prep.stream, init, cfg.T)
             # the baseline's H_T is never reported, and it costs a full h_estimate
             base_report = compute_report(base_trace, prep.stream, prep.fset, window, comparators,
                                          include_local=cfg.report_local, include_h=False)

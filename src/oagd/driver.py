@@ -12,6 +12,7 @@ f_t(., y_{t+1}) over the feasible set.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -115,7 +116,9 @@ class Trace:
     values; the residual ||grad_y g_t(x_t, y_{t+1})||; and the round's
     wall time. f_value and inner_residual only measure a round, so the
     drivers fill them after their loops, and wall_nanos time the round's
-    algorithm alone. Consecutive rows satisfy
+    algorithm alone. y is y_after_inner shifted down one row, with the
+    initial y_1 in row 0, and beta is constant: the drivers write both
+    after their loops. Consecutive rows satisfy
     x_{t+1} = project(X, x_t - alpha_t * hypergrad_t) for the online driver
     (benchmark traces set alpha_t = 0 and K_t = 0 and step by oracle
     instead). final_x / final_y hold the never-played pair (x_{T+1},
@@ -178,9 +181,11 @@ def oagd_run(
     at round 1 without it; fixed and custom inner schedules never read it.
     The loop runs with numpy's overflow and invalid warnings off: a
     non-finite iterate is reported, with its round, by the loop's own
-    checks (NonFiniteIterate). Each round calls the stream's inner_steps
-    and windowed_hypergrad. f_value and inner_residual are filled after the
-    loop (_measure_rounds).
+    checks (NonFiniteIterate). Each check (_finite) is one BLAS dot v.v;
+    only when that is not finite does numpy test v entry by entry, so a
+    finite iterate whose squared norm overflows runs on. Each round calls
+    the stream's inner_steps and windowed_hypergrad. y and beta are
+    written after the loop, f_value and inner_residual by _measure_rounds.
     """
     stream.horizon(T)
     x = np.asarray(init.x, dtype=float).copy()
@@ -188,6 +193,7 @@ def oagd_run(
     if not fset.contains(x, atol=1e-12):
         raise ValueError("init.x lies outside the feasible set")
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
+    trace.y[0] = y
     # overflow and nan surface through the loop's own finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
@@ -199,29 +205,35 @@ def oagd_run(
             # the fused overrides return it: either way the round is named
             try:
                 y_next = stream.inner_steps(t, x, y, inner.beta, K_t)
-                if not np.isfinite(y_next).all():
+                if not _finite(y_next):
                     raise NonFiniteIterate("inner iterate became non-finite")
             except NonFiniteIterate as exc:
                 raise NonFiniteIterate(str(exc), round_index=t) from exc
             hg = stream.windowed_hypergrad(t, window, x, y_next)
             alpha_t = steps.alpha_at(t)
             x_next = project(fset, x - alpha_t * hg)
-            if not (np.isfinite(hg).all() and np.isfinite(x_next).all()):
+            if not (_finite(hg) and _finite(x_next)):
                 raise NonFiniteIterate("outer iterate became non-finite", round_index=t)
             i = t - 1
             trace.x[i] = x
-            trace.y[i] = y
             trace.y_after_inner[i] = y_next
             trace.hypergrad[i] = hg
             trace.alpha[i] = alpha_t
-            trace.beta[i] = inner.beta
             trace.K[i] = K_t
             trace.wall_nanos[i] = time.perf_counter_ns() - t0
             x, y = x_next, y_next
+    trace.y[1:] = trace.y_after_inner[:-1]
+    trace.beta[:] = inner.beta
     trace.final_x = x
     trace.final_y = y
     _measure_rounds(stream, trace)
     return trace
+
+
+def _finite(v: np.ndarray) -> bool:
+    """No nan or inf in v. A non-finite entry makes v.v nan or inf, so the
+    exact entrywise test runs only when the dot is not finite."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
@@ -244,13 +256,13 @@ def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
+    trace.y[0] = y
     t0 = time.perf_counter_ns()
     rows = stream.stacked_round(T)
     if rows is not None:
         x_next = rows.closed_form_x_partial(None)
         trace.x[0], trace.x[1:] = x, x_next[:-1]
         trace.y_after_inner[:] = rows.closed_form_y_star(trace.x)
-        trace.y[0], trace.y[1:] = y, trace.y_after_inner[:-1]
         trace.wall_nanos[:] = (time.perf_counter_ns() - t0) // T
         x, y = x_next[-1], trace.y_after_inner[-1].copy()
     else:
@@ -265,10 +277,10 @@ def full_info_run(stream: Stream, init: DecisionPair, T: int) -> Trace:
             x_next = np.asarray(rnd.closed_form_x_partial(y_next), dtype=float)
             i = t - 1
             trace.x[i] = x
-            trace.y[i] = y
             trace.y_after_inner[i] = y_next
             trace.wall_nanos[i] = time.perf_counter_ns() - t0
             x, y = x_next, y_next
+    trace.y[1:] = trace.y_after_inner[:-1]
     trace.hypergrad[:] = np.nan
     trace.alpha[:] = 0.0
     trace.beta[:] = 0.0

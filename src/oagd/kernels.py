@@ -54,5 +54,10 @@ def sm_window_accumulate(A, A_val, b_val, d_inv, y, u, work):
 
 
 def quad_window_reduce(s, u, xpy):
-    """sum_i u_i * (xpy + s_i) for the scalar quadratic family."""
-    return float(u @ (xpy + s))
+    """sum_i u_i * (xpy + s_i) for the scalar quadratic family.
+
+    s: (m,) shifts newest-first and C-contiguous (a slice of the stream's
+    reversed table); u: (m,) weights. ndarray.dot calls the same BLAS ddot
+    as u @ v without the matmul dispatch.
+    """
+    return float(u.dot(xpy + s))

@@ -178,7 +178,8 @@ class QuadraticStream(Stream):
     windowed_hypergrad uses that every round's cross derivative is -1 and
     its inner Hessian 1, so each window term is (x + y) + (2 a1_s - a2_s)
     and the average reduces to one weighted sum handled by
-    kernels.quad_window_reduce.
+    kernels.quad_window_reduce, over a slice of a newest-first copy of the
+    shift table 2 a1 - a2.
     """
 
     d1 = d2 = 1
@@ -199,6 +200,9 @@ class QuadraticStream(Stream):
             self._shift = 2.0 * self.a1 - self.a2
         if not all(np.isfinite(c).all() for c in (self.a1, self.a2, self.a3, self.a4, self._shift)):
             raise ValueError("quadratic coefficients a1..a4 and the shift 2 a1 - a2 must be finite")
+        # newest-first: shifts of rounds t, t-1, ..., t-m+1 are rows
+        # n-t .. n-t+m-1 of the reversed copy, already contiguous
+        self._shift_rev = np.ascontiguousarray(self._shift[::-1])
 
     def __len__(self) -> int:
         return self.a1.shape[0]
@@ -255,18 +259,18 @@ class QuadraticStream(Stream):
         modified."""
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
-        x0, a2 = float(x[0]), float(self.a2[t - 1])
-        z = float(y[0])
+        x0, a2, z = x.item(0), self.a2.item(t - 1), float(y.item(0))
         for _ in range(K):
             z -= beta * (z - x0 + a2)
         return np.array([z])
 
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
-        if t > len(self):
-            raise StreamExhausted(t, available=len(self))
+        n = len(self)
+        if t > n:
+            raise StreamExhausted(t, available=n)
         m = min(window.w, t)
-        s = self._shift[t - m:t][::-1]
-        val = quad_window_reduce(s, window.u[:m], float(x[0]) + float(y[0]))
+        s = self._shift_rev[n - t:n - t + m]
+        val = quad_window_reduce(s, window.u[:m], x.item(0) + y.item(0))
         return np.array([val / window.W])
 
     def stacked_windowed_hypergrad(self, window, x, y) -> np.ndarray:

@@ -21,6 +21,7 @@ from oagd.cli import (
     ExperimentConfig,
     _NUMERIC_DOMAINS,
     _parse_windows,
+    _run,
     _set_up,
     _write_csv,
     build_schedules,
@@ -729,6 +730,22 @@ def test_sweep_writes_one_output_per_window(tmp_path):
         assert "config.window_w = T" in meta
         assert f"config.output = {tmp_path / name / 'sw_wT'}" in meta
         assert meta.count("note = alpha = ") == 1
+
+
+def test_sweep_on_a_bounded_set_estimates_h_once(tmp_path, monkeypatch):
+    """On a box the H_T cloud does not read the trace: a sweep over three
+    windows calls h_estimate once, and every window reports the H_T of a
+    standalone run."""
+    path = _write(tmp_path / "c.cfg", QUAD_CFG.format(out=tmp_path / "sw"))
+    cfg = parse_config(path)
+    _, solo, _ = run_experiment(cfg, write=False)
+    h_calls = []
+    h_estimate = regret.h_estimate
+    monkeypatch.setattr(regret, "h_estimate",
+                        lambda *a, **k: h_calls.append(1) or h_estimate(*a, **k))
+    reports = [report for _, report, _ in _run(cfg, ("1", "2", "T"), write=False)]
+    assert len(h_calls) == 1
+    assert [r.h_T for r in reports] == [solo.h_T] * 3 and solo.h_T > 0
 
 
 def test_sweep_reports_errors_as_run_does(tmp_path, capsys):

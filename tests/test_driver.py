@@ -1,5 +1,7 @@
 """Tests for the online alternating loop, its trace bookkeeping, the outer
 step-size schedules, and the full-information benchmark."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,80 @@ def test_full_info_requires_oracles():
         rounds = [dataclasses.replace(quadratic_round(0.0, 0.0), **{missing: None})]
         with pytest.raises(OracleUnavailable):
             full_info_run(ListStream(rounds), init, T=1)
+
+
+def _quad_and_list(a1, a2):
+    """A custom-coefficient quadratic stream (fused follower and window
+    table) and a ListStream over its rounds (Stream's default paths)."""
+    quad = quadratic_stream("custom", T=len(a1), coefficients=(a1, a2))
+    return quad, ListStream([quad[i] for i in range(len(a1))])
+
+
+def _poisoned(stream, method, t_bad, value):
+    """A copy of stream whose `method` adds `value` to its round-t_bad result."""
+    view = copy.copy(stream)
+    clean = getattr(stream, method)
+    setattr(view, method, lambda t, *args: clean(t, *args) + value if t == t_bad else clean(t, *args))
+    return view
+
+
+def test_finite_iterates_whose_squares_overflow_run_on():
+    """a2_t = -1e200 from (0, 0) with beta = 1 and K = 1 makes y_2 = 1e200
+    and the hypergradient about 2e200: finite iterates whose v.v is inf. On
+    an unbounded set x follows to about -2e197. The loop runs to the end on
+    both streams."""
+    for stream in _quad_and_list(np.zeros(4), np.full(4, -1e200)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = oagd_run(stream, DecisionPair(x=np.zeros(1), y=np.zeros(1)),
+                          FeasibleSet.unbounded(), make_weights("uniform", 1),
+                          StepSizeSchedule.constant(1e-3), InnerSchedule.fixed(beta=1.0, K=1), T=4)
+            for v in (tr.y_after_inner, tr.hypergrad, tr.x[1:], tr.final_x):
+                assert np.isfinite(v).all() and np.isinf(np.sum(v * v))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_iterates_name_their_round(bad):
+    """A nan or +-inf entry in round 3's y_{t+1} is an inner failure, and
+    one in its hypergradient or x_{t+1} (here from alpha_3 = bad) an outer
+    failure, on both streams, each named with round 3."""
+    rng = np.random.default_rng(27)
+    init = DecisionPair(x=np.array([0.1]), y=np.array([-0.2]))
+
+    def run(stream, alpha=lambda t: 0.1):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
+            oagd_run(stream, init, FeasibleSet.unbounded(), make_weights("uniform", 2),
+                     StepSizeSchedule.custom(alpha), InnerSchedule.fixed(beta=0.5, K=2), T=5)
+        return str(info.value)
+
+    for stream in _quad_and_list(rng.normal(size=5), rng.normal(size=5)):
+        assert run(_poisoned(stream, "inner_steps", 3, bad)) == (
+            "round 3: inner iterate became non-finite")
+        assert run(_poisoned(stream, "windowed_hypergrad", 3, bad)) == (
+            "round 3: outer iterate became non-finite")
+        assert run(stream, alpha=lambda t: bad if t == 3 else 0.1) == (
+            "round 3: outer iterate became non-finite")
+
+
+def test_trace_y_is_y_after_inner_shifted_by_one():
+    """y holds the initial y_1 and then y_after_inner one row down, and
+    beta the inner step size, bit for bit, for oagd_run on the quadratic
+    stream, a ridge stream and a ListStream, and for full_info_run on its
+    stacked and round-by-round paths."""
+    rng = np.random.default_rng(28)
+    quad = quadratic_stream("alt_sqrt", T=9)
+    ridge = HOStream(rng.normal(size=(9, 3)), rng.normal(size=9),
+                     rng.normal(size=(9, 3)), rng.normal(size=9), d1=1)
+    inner = InnerSchedule.fixed(beta=0.05, K=2)
+    runs = []
+    for stream in (quad, ridge, ListStream([quad[i] for i in range(9)])):
+        init = DecisionPair(x=np.array([0.3]), y=rng.normal(size=stream.d2))
+        runs.append((init, inner.beta, oagd_run(
+            stream, init, FeasibleSet.symmetric_box(1.0, 1), make_weights("uniform", 3),
+            StepSizeSchedule.constant(0.1), inner, T=9)))
+    init = DecisionPair(x=np.array([0.3]), y=np.array([-0.4]))
+    for stream in (quad, with_defaults(quad, "stacked_round")):
+        runs.append((init, 0.0, full_info_run(stream, init, T=9)))
+    for init, beta, tr in runs:
+        assert tr.y[0].tobytes() == np.asarray(init.y, dtype=float).tobytes()
+        assert tr.y[1:].tobytes() == tr.y_after_inner[:-1].tobytes()
+        assert tr.beta.tobytes() == np.full(9, beta).tobytes()

@@ -154,6 +154,28 @@ def test_windowed_hypergrad_override_matches_default(build, window, atol):
         s.windowed_hypergrad(len(s) + 1, window, x, y)
 
 
+def test_quadratic_window_table_matches_oldest_first_formula():
+    """The quadratic windowed_hypergrad, a slice of the newest-first shift
+    table, equals bit for bit the same reduction over the oldest-first
+    shifts 2 a1 - a2 of rounds t-m+1..t reversed, for w = 1, 2, 8 and T at
+    t = 1, w - 1, w and T; past the last round it is StreamExhausted."""
+    rng = np.random.default_rng(27)
+    T = 20
+    a1, a2 = rng.normal(size=T), rng.normal(size=T)
+    s = quadratic_stream("custom", T=T, coefficients=(a1, a2))
+    shift = 2.0 * a1 - a2
+    for w in (1, 2, 8, T):
+        window = make_weights("exponential", w, gamma=0.7)
+        for t in sorted({1, w - 1, w, T} - {0}):
+            x, y = rng.uniform(-1.0, 1.0, size=1), rng.normal(size=1)
+            m = min(w, t)
+            xpy = float(x[0]) + float(y[0])
+            ref = np.array([float(window.u[:m] @ (xpy + shift[t - m:t][::-1])) / window.W])
+            assert s.windowed_hypergrad(t, window, x, y).tobytes() == ref.tobytes(), (w, t)
+        with pytest.raises(StreamExhausted):
+            s.windowed_hypergrad(T + 1, window, x, y)
+
+
 def test_ho_round_derivatives_scalar_ridge():
     rng = np.random.default_rng(13)
     s = _small_ho(d1=1)
