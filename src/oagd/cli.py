@@ -426,6 +426,13 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
         prep.notes.append(f"beta = {cfg.beta:g} (override)")
     if beta >= 2.0 / constants.ell_g1:
         # past 2/ell_g1 a gradient step on g_t no longer contracts toward y*
+        if cfg.beta is None:
+            raise ConfigError(
+                f"mu_g = 2 exp(x_low) = {constants.mu_g:g} is below float64 resolution of "
+                f"ell_g1 = {constants.ell_g1:g}, so the default beta = 2/(ell_g1 + mu_g) rounds "
+                f"to 2/ell_g1 and breaks the inner contraction condition: raise x_low = "
+                f"{cfg.x_low:g}, or set beta below 2/ell_g1 = {2.0 / constants.ell_g1:.6g}"
+            )
         raise ConfigError(
             f"beta = {beta:g} breaks the inner contraction condition "
             f"beta < 2/ell_g1 = {2.0 / constants.ell_g1:.6g}"

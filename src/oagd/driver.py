@@ -101,9 +101,19 @@ class StepSizeSchedule:
 
     @staticmethod
     def custom(fn: Callable[[int], float], label: str = "custom") -> "StepSizeSchedule":
+        """alpha_t = fn(t); an alpha_t that is nan, infinite or negative is
+        a ValueError naming round t and the schedule."""
         if not callable(fn):
             raise ValueError("custom schedule needs a callable")
-        return StepSizeSchedule(lambda t: float(fn(t)), label)
+
+        def rule(t):
+            alpha = float(fn(t))
+            if not 0.0 <= alpha < math.inf:
+                raise ValueError(f"round {t}: custom step size schedule {label!r} gave "
+                                 f"alpha = {alpha!r}; it needs a finite alpha >= 0")
+            return alpha
+
+        return StepSizeSchedule(rule, label)
 
 
 @dataclass

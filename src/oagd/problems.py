@@ -25,6 +25,12 @@ its inner model, which solves with that Hessian by Sherman-Morrison. Only
 the fit on a whole training split (HOStream.full_batch_model) has a dense
 Hessian, A^T A / n + diag(d).
 
+The regression families state their penalty once, as a RidgePenalty or an
+ElasticNetPenalty at x (HOStream.penalty(x)): its root, value, grad,
+hess_diag and jac_dot pieces, and step(), the follower's step in Python
+floats. The rounds, their inner models, the full-batch fit, inner_steps
+and windowed_hypergrad all read it.
+
 Every stream is a Stream: a sequence of RoundFunctions (stream[i] builds
 round i anew on every call) plus the methods the online loop and the
 measurement call on it. Stream's own methods are the per-round reference
@@ -33,8 +39,8 @@ a faster form:
 
 * inner_steps(t, x, y, beta, K), the follower's K steps of round t, runs
   in Python floats on both families and gives inner.inner_gd's iterates
-  bit for bit. The regression streams build the x-dependent factors once
-  per round with numpy and keep only the dot a^T z in BLAS: numpy's ddot
+  bit for bit. The regression streams build the penalty once per round
+  with numpy and keep only the dot a^T z in BLAS: numpy's ddot
   is a fused multiply-add chain, which Python 3.11 floats (no math.fma)
   cannot reproduce, while every other operation of a step is one correctly
   rounded IEEE operation on one coordinate. That costs O(d2) interpreted
@@ -331,13 +337,93 @@ def quadratic_stream(
     raise ValueError(f"unknown coefficient rule {rule!r}")
 
 
-def _ridge_diag(x_ridge: np.ndarray, d2: int) -> np.ndarray:
-    """diag of C(x) over the last axis: exp(x) broadcast to d2 entries when
-    the ridge block is scalar."""
-    c = np.exp(x_ridge)
-    if x_ridge.shape[-1] == 1:
-        return c.repeat(d2, axis=-1)
-    return c
+class RidgePenalty:
+    """The ridge's part of g(x, .) at one x: y^T diag(c) y, c = exp(x)
+    broadcast to d2 entries when x (the ridge block) is scalar. exp(x) is
+    taken once, here; x may carry leading axes for hess_diag, which
+    closed_form_y_star reads on a cloud of x (P, d1).
+
+    Each piece reads z and q = root(z), the factor a smoothed penalty
+    computes once per z and shares between its pieces (None here).
+    jac_dot(z, q, v) applies g's cross second derivatives to v: exp(x)
+    scales each block's penalty term, so each block is that block's term of
+    grad (a scalar ridge weight's block is one row).
+    """
+
+    def __init__(self, x, d2: int):
+        x = np.asarray(x, dtype=float)
+        self.scalar = x.shape[-1] == 1
+        self.c = np.exp(x).repeat(d2, axis=-1) if self.scalar else np.exp(x)
+        self.c2 = 2.0 * self.c
+
+    def root(self, z):
+        return None
+
+    def value(self, z, q) -> float:
+        return float(self.c.dot(z * z))
+
+    def grad(self, z, q) -> np.ndarray:
+        return self.c2 * z
+
+    def hess_diag(self, z, q) -> np.ndarray:
+        return self.c2
+
+    def jac_dot(self, z, q, v) -> np.ndarray:
+        ridge = self.c2 * z
+        return np.array([float(ridge @ v)]) if self.scalar else ridge * v
+
+    def step(self):
+        """The follower's step in Python floats: step(z, a, r, beta) gives
+        the list z_j - beta * (a_j r + grad_j) over coordinates j, with
+        r = a^T z - b, in grad_y_g's operation order and from this
+        penalty's c2 (IEEE +, -, *, / and sqrt give the same bits in numpy
+        and Python floats)."""
+        c2 = self.c2.tolist()
+
+        def step(z, a, r, beta):
+            return [zj - beta * (aj * r + cj * zj) for zj, aj, cj in zip(z, a, c2)]
+
+        return step
+
+
+class ElasticNetPenalty(RidgePenalty):
+    """RidgePenalty on the ridge block x[d2:] plus the smoothing block's
+    sum_i s_i sqrt(z_i^2 + mu^2), s = exp(x[:d2]); root(z) is that square
+    root. The cross derivatives list the smoothing block, then the ridge
+    block, in x's order."""
+
+    def __init__(self, x, d2: int, mu: float):
+        x = np.asarray(x, dtype=float)
+        super().__init__(x[d2:], d2)
+        self.s = np.exp(x[:d2])
+        self.mu2 = mu**2
+        self.s_mu2 = self.s * self.mu2
+
+    def root(self, z):
+        return np.sqrt(z * z + self.mu2)
+
+    def value(self, z, q) -> float:
+        return super().value(z, q) + float(self.s.dot(q))
+
+    def grad(self, z, q) -> np.ndarray:
+        return super().grad(z, q) + self.s * z / q
+
+    def hess_diag(self, z, q) -> np.ndarray:
+        return super().hess_diag(z, q) + self.s_mu2 / q**3
+
+    def jac_dot(self, z, q, v) -> np.ndarray:
+        return np.concatenate([self.s * z / q * v, super().jac_dot(z, q, v)])
+
+    def step(self):
+        """As RidgePenalty.step, with the smoothing term added to the ridge
+        term: z_j - beta * (a_j r + (c2_j z_j + s_j z_j / sqrt(z_j^2 + mu^2)))."""
+        c2, s, mu2, sqrt = self.c2.tolist(), self.s.tolist(), self.mu2, math.sqrt
+
+        def step(z, a, r, beta):
+            return [zj - beta * (aj * r + (cj * zj + sj * zj / sqrt(zj * zj + mu2)))
+                    for zj, aj, cj, sj in zip(z, a, c2, s)]
+
+        return step
 
 
 class HOStream(Stream):
@@ -384,89 +470,46 @@ class HOStream(Stream):
     def __len__(self) -> int:
         return self.A_train.shape[0]
 
-    # per-x pieces, split so the elastic net subclass can extend them
+    def penalty(self, x) -> RidgePenalty:
+        """The penalty's part of g(x, .) at x; every round, the full-batch
+        fit and the follower read it."""
+        return RidgePenalty(x, self.d2)
 
-    def _penalty_at(self, x) -> tuple:
-        """The penalty's part of g(x, .) at x, x-dependent factors computed
-        once: (root, value, grad, hess_diag, jac), the last four of (z,
-        root(z)); root(z) is None for the ridge, whose D in a a^T + D takes
-        x (P, d1). jac is the cross derivatives' diagonal blocks in x's
-        order, which _jac_dot applies: exp(x) scales each block's penalty
-        term, so each is that block's term of grad."""
-        c = _ridge_diag(self._ridge_block(x), self.d2)
-        c2 = 2.0 * c
-        return (lambda z: None, lambda z, q: float(c.dot(z * z)),
-                lambda z, q: c2 * z, lambda z, q: c2, lambda z, q: [c2 * z])
-
-    def _step_at(self, x):
-        """The follower's step at x in Python floats: step(z, a, r, beta)
-        gives the list z_j - beta * (a_j r + c2_j z_j) over coordinates j,
-        with r = a^T z - b, in the operation order of _round_at(model=False)
-        and from _penalty_at's factor c2 = 2 exp(x)."""
-        c2 = (2.0 * _ridge_diag(self._ridge_block(x), self.d2)).tolist()
-
-        def step(z, a, r, beta):
-            return [zj - beta * (aj * r + cj * zj) for zj, aj, cj in zip(z, a, c2)]
-
-        return step
-
-    def _penalty(self, k: int, x, z):
-        """Piece k (1 value, 2 grad, 3 hess_diag, 4 jac) of _penalty_at(x) at z."""
-        pieces = self._penalty_at(x)
-        return pieces[k](z, pieces[0](z))
-
-    def _ridge_block(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
-    def _round_at(self, i: int, x, model: bool = True):
+    def _inner_model(self, i: int, x) -> InnerModel:
         """Round index i's g(x, .) at x as an InnerModel, which computes
         a^T z - b and root(z) once for g and grad, and solves with
         diag(D) + a a^T by sm_solve from that root (computed again only at a
-        new array z); or with model=False grad(z) alone: the follower's
-        step."""
+        new array z)."""
         a, b = self.A_train[i], float(self.b_train[i])
-        root, value, penalty_grad, hess_diag, _ = self._penalty_at(x)
-
-        def grad(z, r, q):
-            return a * r + penalty_grad(z, q)
-
-        if not model:
-            return lambda z: grad(z, a.dot(z) - b, root(z))
+        p = self.penalty(x)
         last = [None, None]
 
         def value_grad(z):
-            r, q = float(a.dot(z)) - b, root(z)
+            r, q = float(a.dot(z)) - b, p.root(z)
             last[:] = z, q
-            return 0.5 * r ** 2 + value(z, q), grad(z, r, q)
+            return 0.5 * r ** 2 + p.value(z, q), a * r + p.grad(z, q)
 
         def solve(z, rhs):
-            return sm_solve(a, hess_diag(z, last[1] if last[0] is z else root(z)), rhs)
+            return sm_solve(a, p.hess_diag(z, last[1] if last[0] is z else p.root(z)), rhs)
 
         return InnerModel(value_grad, solve)
-
-    def _jac_dot(self, x, jac, v) -> np.ndarray:
-        """g's cross second derivatives, given as _penalty_at's diagonal
-        blocks jac, applied to v (a scalar ridge weight's block is one row)."""
-        *blocks, ridge = jac
-        ridge_part = [float(ridge @ v)] if self._ridge_block(x).shape[0] == 1 else ridge * v
-        return np.concatenate([j * v for j in blocks] + [ridge_part])
 
     def __getitem__(self, i: int) -> RoundFunctions:
         if not 0 <= i < len(self):
             raise IndexError(i)
         av, bv = self.A_val[i], float(self.b_val[i])
-        a, rhs = self.A_train[i], self.b_train[i] * self.A_train[i]
+        a, b = self.A_train[i], float(self.b_train[i])
         return RoundFunctions(
             f=lambda x, y: 0.5 * (av @ y - bv) ** 2,
             grad_x_f=lambda x, y: np.zeros(self.d1),
             grad_y_f=lambda x, y: av * (av @ y - bv),
-            grad_y_g=lambda x, y: self._round_at(i, x, False)(y),
-            jac_xy_g_dot=lambda x, y, v: self._jac_dot(x, self._penalty(4, x, y), v),
-            hess_yy_parts=lambda x, y: (a, self._penalty(3, x, y)),
-            inner_model=lambda x: self._round_at(i, x),
+            grad_y_g=lambda x, y: a * (a.dot(y) - b) + (p := self.penalty(x)).grad(y, p.root(y)),
+            jac_xy_g_dot=lambda x, y, v: (p := self.penalty(x)).jac_dot(y, p.root(y), v),
+            hess_yy_parts=lambda x, y: (a, (p := self.penalty(x)).hess_diag(y, p.root(y))),
+            inner_model=lambda x: self._inner_model(i, x),
             # y* solves (D + a a^T) y = b a; the smoothed penalty's has no closed form
             closed_form_y_star=None if self.smoothing else (
-                lambda x: sm_solve(a, self._penalty(3, x, None), rhs)),
+                lambda x: sm_solve(a, self.penalty(x).hess_diag(None, None), self.b_train[i] * a)),
         )
 
     def full_batch_model(self, A, b, x) -> InnerModel:
@@ -478,15 +521,15 @@ class HOStream(Stream):
         b = np.asarray(b, dtype=float)
         n = A.shape[0]
         AtA = A.T @ A / n
-        root, value, grad, hess_diag, _ = self._penalty_at(x)
+        p = self.penalty(x)
 
         def value_grad(z):
-            q, r = root(z), A @ z - b
-            return float(0.5 * np.sum(r ** 2) / n + value(z, q)), A.T @ r / n + grad(z, q)
+            q, r = p.root(z), A @ z - b
+            return float(0.5 * np.sum(r ** 2) / n + p.value(z, q)), A.T @ r / n + p.grad(z, q)
 
         return InnerModel(
             value_grad,
-            lambda z, rhs: cholesky_solve(AtA + np.diag(hess_diag(z, root(z))), rhs),
+            lambda z, rhs: cholesky_solve(AtA + np.diag(p.hess_diag(z, p.root(z))), rhs),
         )
 
     def inner_steps(self, t: int, x, y, beta: float, K: int) -> np.ndarray:
@@ -494,8 +537,9 @@ class HOStream(Stream):
         1-based): the update of inner.inner_gd on self[t - 1], bit for bit.
         y is not modified.
 
-        The x-dependent factors are built once (_step_at) and each step runs
-        in Python floats, except r = a^T z - b: z lives in a float64 buffer
+        The penalty is built once, and its step() (RidgePenalty.step,
+        ElasticNetPenalty.step) runs each step in Python floats, except
+        r = a^T z - b: z lives in a float64 buffer
         that a numpy view reads, so the dot is the same BLAS ddot (a fused
         multiply-add chain) as the round's gradient. Per step that is one
         ddot call plus O(d2) interpreted operations, where the numpy step
@@ -510,7 +554,7 @@ class HOStream(Stream):
             raise StreamExhausted(t, available=len(self))
         a = self.A_train[t - 1]
         b, a_list, beta = float(self.b_train[t - 1]), a.tolist(), float(beta)
-        step = self._step_at(x)
+        step = self.penalty(x).step()
         z = array("d", np.asarray(y, dtype=float).tolist())
         view, dot = np.frombuffer(z), a.dot
         for _ in range(K):
@@ -523,13 +567,12 @@ class HOStream(Stream):
         kernel and the cross derivatives apply once, to their sum."""
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         m = min(window.w, t)
         rows = slice(len(self) - t, len(self) - t + m)
-        root, _, _, hess_diag, jac = self._penalty_at(x)
-        q = root(y)
-        d_inv = 1.0 / hess_diag(y, q)
+        p = self.penalty(x)
+        q = p.root(y)
+        d_inv = 1.0 / p.hess_diag(y, q)
         acc = sm_window_accumulate(
             self._A_train_rev[rows],
             self._A_val_rev[rows],
@@ -539,7 +582,7 @@ class HOStream(Stream):
             window.u[:m],
             self._window_work,
         )
-        return -self._jac_dot(x, jac(y, q), acc) / window.W
+        return -p.jac_dot(y, q, acc) / window.W
 
 
 class ElasticNetStream(HOStream):
@@ -570,41 +613,8 @@ class ElasticNetStream(HOStream):
                 f"for the elastic net, got {self.d1}"
             )
 
-    def _ridge_block(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)[self.d2:]
-
-    def _smooth_block(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)[: self.d2]
-
-    def _penalty_at(self, x) -> tuple:
-        _, value, grad, hess_diag, jac = super()._penalty_at(x)
-        s = np.exp(self._smooth_block(x))
-        mu2, s_mu2 = self.mu**2, s * self.mu**2
-
-        def smooth_grad(z, q):
-            return s * z / q
-
-        return (lambda z: np.sqrt(z * z + mu2),
-                lambda z, q: value(z, q) + float(s.dot(q)),
-                lambda z, q: grad(z, q) + smooth_grad(z, q),
-                lambda z, q: hess_diag(z, q) + s_mu2 / q**3,
-                lambda z, q: [smooth_grad(z, q)] + jac(z, q))
-
-    def _step_at(self, x):
-        """The follower's step at x in Python floats, as HOStream._step_at
-        with the smoothing term added to the ridge term:
-        z_j - beta * (a_j r + (c2_j z_j + s_j z_j / sqrt(z_j^2 + mu^2))),
-        s = exp(smoothing block). math.sqrt is correctly rounded, as
-        np.sqrt is."""
-        c2 = (2.0 * _ridge_diag(self._ridge_block(x), self.d2)).tolist()
-        s = np.exp(self._smooth_block(x)).tolist()
-        mu2, sqrt = self.mu**2, math.sqrt
-
-        def step(z, a, r, beta):
-            return [zj - beta * (aj * r + (cj * zj + sj * zj / sqrt(zj * zj + mu2)))
-                    for zj, aj, cj, sj in zip(z, a, c2, s)]
-
-        return step
+    def penalty(self, x) -> ElasticNetPenalty:
+        return ElasticNetPenalty(x, self.d2, self.mu)
 
 
 def _round_tables(dataset, T: int):

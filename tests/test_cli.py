@@ -464,6 +464,32 @@ def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_pat
                               "c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0 at mu_f = 1e-300"), err
 
 
+def test_validate_names_x_low_when_the_default_beta_rounds_to_its_bound(tmp_path, capsys):
+    """At x_low = -35, mu_g = 2 exp(x_low) is below float64 resolution of
+    ell_g1, so the theorem default beta = 2/(ell_g1 + mu_g) equals 2/ell_g1.
+    validate still refuses it, in every regime, but says why and names
+    x_low instead of reading as if beta had been set; a beta that is set
+    keeps the plain message, and x_low = -30 validates."""
+    base = "problem = synthetic\nT = 20\nd2 = 2\n"
+    for regime in ("strongly_convex", "strongly_convex_static", "convex_dynamic",
+                   "convex_static", "nonconvex"):
+        path = _write(tmp_path / f"{regime}.cfg", base + f"x_low = -35\nregime = {regime}\n")
+        assert main(["validate", "--config", path]) == 1, regime
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error_category=ConfigError\nmu_g = 2 exp\(x_low\) = 1\.26\d*e-15 is below float64 "
+            r"resolution of ell_g1 = 45\.6\d*, so the default beta = 2/\(ell_g1 \+ mu_g\) "
+            r"rounds to 2/ell_g1 and breaks the inner contraction condition: raise "
+            r"x_low = -35, or set beta below 2/ell_g1 = 0\.0438359\n", err), err
+    path = _write(tmp_path / "set.cfg", base + "x_low = -35\nregime = nonconvex\nbeta = 0.05\n")
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error_category=ConfigError\nbeta = 0.05 breaks the inner contraction condition "
+        "beta < 2/ell_g1 = 0.0438359\n")
+    path = _write(tmp_path / "ok.cfg", base + "x_low = -30\nregime = nonconvex\n")
+    assert main(["validate", "--config", path]) == 0
+
+
 def test_run_refuses_h_estimate_on_a_box_wider_than_float64(tmp_path, capsys):
     """A box of half width 1e308 passes validate, but its width overflows:
     run stops with a ConfigError that advises report_h = false, with no raw

@@ -1,6 +1,7 @@
 """Tests for the online alternating loop, its trace bookkeeping, the outer
 step-size schedules, and the full-information benchmark."""
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -340,13 +341,15 @@ def test_finite_iterates_whose_squares_overflow_run_on():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_iterates_name_their_round(bad):
     """A nan or +-inf entry in round 3's y_{t+1} is an inner failure, and
-    one in its hypergradient or x_{t+1} (here from alpha_3 = bad) an outer
-    failure, on both streams, each named with round 3."""
+    one in its hypergradient an outer failure, on both streams, each named
+    with round 3. So is an x_{t+1} that overflows from a finite alpha_3 and
+    a finite hypergradient; alpha_3 = bad itself is the schedule's error,
+    named with round 3 (test_custom_step_size_rejects_a_bad_alpha)."""
     rng = np.random.default_rng(27)
     init = DecisionPair(x=np.array([0.1]), y=np.array([-0.2]))
 
-    def run(stream, alpha=lambda t: 0.1):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as info:
+    def run(stream, alpha=lambda t: 0.1, error=NonFiniteIterate):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
             oagd_run(stream, init, FeasibleSet.unbounded(), make_weights("uniform", 2),
                      StepSizeSchedule.custom(alpha), InnerSchedule.fixed(beta=0.5, K=2), T=5)
         return str(info.value)
@@ -356,8 +359,27 @@ def test_non_finite_iterates_name_their_round(bad):
             "round 3: inner iterate became non-finite")
         assert run(_poisoned(stream, "windowed_hypergrad", 3, bad)) == (
             "round 3: outer iterate became non-finite")
-        assert run(stream, alpha=lambda t: bad if t == 3 else 0.1) == (
+        assert run(_poisoned(stream, "windowed_hypergrad", 3, 1e300),
+                   alpha=lambda t: 1e10 if t == 3 else 0.1) == (
             "round 3: outer iterate became non-finite")
+        assert run(stream, alpha=lambda t: bad if t == 3 else 0.1, error=ValueError) == (
+            f"round 3: custom step size schedule 'custom' gave alpha = {float(bad)!r}; "
+            "it needs a finite alpha >= 0")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_custom_step_size_rejects_a_bad_alpha(bad):
+    """A custom rule's nan, infinite or negative alpha_t is a ValueError
+    naming round t and the schedule, as constant rejects alpha < 0; 0 and
+    the largest finite float pass."""
+    steps = StepSizeSchedule.custom(lambda t: bad if t == 4 else 0.5, label="decay")
+    assert steps.alpha_at(3) == 0.5
+    with pytest.raises(ValueError) as info:
+        steps.alpha_at(4)
+    assert str(info.value) == (f"round 4: custom step size schedule 'decay' gave "
+                               f"alpha = {float(bad)!r}; it needs a finite alpha >= 0")
+    for fine in (0.0, sys.float_info.max):
+        assert StepSizeSchedule.custom(lambda t: fine).alpha_at(4) == fine
 
 
 def test_trace_y_is_y_after_inner_shifted_by_one():

@@ -283,6 +283,47 @@ def test_fused_inner_steps_match_inner_gd():
                 Stream.inner_steps(s, 1, x, y, beta, K)
 
 
+@pytest.mark.parametrize("d1, elastic", [(1, False), (3, False), (4, True), (6, True)])
+def test_full_batch_fit_and_round_read_one_penalty(d1, elastic):
+    """On a one-row table, the full-batch fit model and the round's inner
+    model state the same g(x, .): value and gradient agree within 1e-14
+    relative and the (Cholesky and Sherman-Morrison) solves within 1e-12,
+    for both ridge shapes and both elastic-net shapes."""
+    rng = np.random.default_rng(29)
+    s = _small_ho(d1=d1, elastic=elastic)
+    for i in (0, 4):
+        x = rng.uniform(-1.0, 1.0, size=d1)
+        fit = s.full_batch_model(s.A_train[i:i + 1], s.b_train[i:i + 1], x)
+        model = s[i].inner_model(x)
+        for _ in range(3):
+            z, rhs = rng.normal(size=s.d2), rng.normal(size=s.d2)
+            (v_fit, g_fit), (v, g) = fit.value_grad(z), model.value_grad(z)
+            np.testing.assert_allclose(v_fit, v, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(g_fit, g, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(fit.solve(z, rhs), model.solve(z, rhs), rtol=1e-12, atol=0)
+
+
+def test_synth_window_loop_matches_benchmark_reference(monkeypatch):
+    """The benchmark's synth-window workload, variant 0 (a d1 = 1, d2 = 5
+    ridge HOStream looped at w = 1, 100 and T = 5000), run in process,
+    hashes its loop outputs to the stored loop_sha256 and gives the stored
+    sum f per window exactly: the ridge follower and window kernel keep
+    their bits."""
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench.workloads import WORKLOADS, mismatches
+
+    ref = json.loads((root / "perfbench" / "reference.json").read_text())["synth-window"]["0"]
+    workload = WORKLOADS["synth-window"]
+    _, outputs, tol = workload.run(workload.setup(0, None))
+    assert tol == 0.0
+    assert mismatches(outputs, ref, tol) == []
+    assert outputs["loop_sha256"] == ref["loop_sha256"]
+
+
 def test_ho_dimension_rules():
     with pytest.raises(DimensionMismatch):
         _small_ho(d1=2)
