@@ -20,7 +20,7 @@ from .core import (
     derive_constants,
     project,
 )
-from .driver import StepSizeSchedule, Trace, full_info_run, oagd_run
+from .driver import StepSizeSchedule, Trace, evaluate_schedules, full_info_run, oagd_run
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -40,7 +40,7 @@ from .hypergrad import (
     make_weights,
     windowed_hypergradient,
 )
-from .inner import InnerSchedule, inner_gd, k_for_round, newton_to_tolerance
+from .inner import InnerSchedule, inner_gd, newton_to_tolerance
 from .problems import (
     ElasticNetStream,
     HOStream,
@@ -104,13 +104,13 @@ __all__ = [
     "elastic_net_stream",
     "equal_stages",
     "estimate_constants",
+    "evaluate_schedules",
     "full_info_run",
     "h_estimate",
     "ho_stream",
     "hypergradient",
     "inner_gd",
     "inner_oracle",
-    "k_for_round",
     "local_regret_series",
     "make_weights",
     "newton_to_tolerance",

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .core import DecisionPair, FeasibleSet, ProblemConstants, derive_constants, project
-from .driver import StepSizeSchedule, Trace, full_info_run, oagd_run, strongly_convex_c
+from .driver import (StepSizeSchedule, Trace, evaluate_schedules, full_info_run, oagd_run,
+                     strongly_convex_c)
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -399,22 +400,13 @@ def prepare(cfg: ExperimentConfig) -> _Prepared:
     return _Prepared(stream, fset, constants, d1, d2, dataset=table)
 
 
-#: the derived constants each regime's default step size and default K_t
-#: read; "^2" marks one the formula squares, in Python floats, whose ** raises
-#: OverflowError where a product gives inf
-_DEFAULTS_READ = {
-    "strongly_convex": (("L_f^2", "L_y^2"), ("kappa_g", "L_f^2", "L_y^2", "M_f^2")),
-    "strongly_convex_static": ((), ("kappa_g", "L_y^2", "M_f^2")),
-    "convex_dynamic": (("L_f^2",), ("kappa_g",)),
-    "convex_static": ((), ("kappa_g",)),
-    "nonconvex": (("L_f",), ("kappa_g", "L_y^2", "M_f^2")),
-}
-
-
 def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
                     window: WeightWindow):
-    """Regime defaults plus any explicit overrides (recorded as notes). A
-    default that would read a non-finite derived constant is a ConfigError."""
+    """Regime defaults plus any explicit overrides (recorded as notes),
+    evaluated over rounds 1..T as the loop will (evaluate_schedules). A
+    schedule that cannot be built or evaluated there (ValueError or
+    OverflowError), or a regime default alpha_t = 0, is a ConfigError naming
+    the regime, the schedule, the derived constants and the keys to change."""
     constants = prep.constants
     if cfg.mu_f is not None:  # ProblemConstants checks it against ell_f1
         constants = replace(constants, mu_f=cfg.mu_f)
@@ -438,56 +430,58 @@ def build_schedules(cfg: ExperimentConfig, prep: _Prepared,
             f"beta < 2/ell_g1 = {2.0 / constants.ell_g1:.6g}"
         )
 
-    step_reads, k_reads = _DEFAULTS_READ[cfg.regime]
-    advice = (f"raise x_low = {cfg.x_low:g}, lower y_bound = {cfg.y_bound:g} or x_high = "
-              f"{cfg.x_high:g}, or set alpha and K")
-    for read in (step_reads if cfg.alpha is None else ()) + (k_reads if cfg.K is None else ()):
-        name = read.removesuffix("^2")
-        value = getattr(derived, name)
-        if not math.isfinite(value * value if read != name else value):
-            fault = "overflows float64 when squared" if math.isfinite(value) else "is not finite"
-            raise ConfigError(f"derived constant {name} = {value} {fault}: {advice}")
+    if mu_f is None and cfg.regime.startswith("strongly_convex") and None in (cfg.alpha, cfg.K):
+        raise ConfigError(f"regime {cfg.regime} needs mu_f; set mu_f explicitly or "
+                          "provide alpha and K overrides")
+    try:
+        if cfg.alpha is not None:
+            steps = StepSizeSchedule.constant(cfg.alpha, label=f"constant alpha={cfg.alpha:g} (override)")
+            prep.notes.append(f"alpha = {cfg.alpha:g} (override)")
+        elif cfg.regime == "strongly_convex":
+            steps = StepSizeSchedule.strongly_convex_dynamic(mu_f, derived)
+        elif cfg.regime == "strongly_convex_static":
+            steps = StepSizeSchedule.strongly_convex_static(mu_f)
+        elif cfg.regime == "convex_dynamic":
+            steps = StepSizeSchedule.convex_dynamic(derived)
+        elif cfg.regime == "convex_static":
+            D = cfg.D if cfg.D is not None else prep.fset.diameter
+            if not np.isfinite(D):  # validate checked a given D, so this is the set's
+                if prep.fset.kind == "unbounded":
+                    raise ConfigError("convex_static needs a bounded set or an explicit D")
+                raise ConfigError(f"convex_static: the {prep.fset.kind} set is bounded, but its "
+                                  "diameter overflows float64; set D explicitly")
+            steps = StepSizeSchedule.convex_static(D, constants.ell_f0)
+        else:
+            steps = StepSizeSchedule.nonconvex(1.0 / (3.0 * derived.L_f), derived)
 
-    def need_mu_f():
-        if mu_f is None:
-            raise ConfigError(
-                f"regime {cfg.regime} needs mu_f; set mu_f explicitly or "
-                "provide alpha and K overrides"
-            )
-        return mu_f
-
-    if cfg.alpha is not None:
-        steps = StepSizeSchedule.constant(cfg.alpha, label=f"constant alpha={cfg.alpha:g} (override)")
-        prep.notes.append(f"alpha = {cfg.alpha:g} (override)")
-    elif cfg.regime == "strongly_convex":
-        steps = StepSizeSchedule.strongly_convex_dynamic(need_mu_f(), derived)
-    elif cfg.regime == "strongly_convex_static":
-        steps = StepSizeSchedule.strongly_convex_static(need_mu_f())
-    elif cfg.regime == "convex_dynamic":
-        steps = StepSizeSchedule.convex_dynamic(derived)
-    elif cfg.regime == "convex_static":
-        D = cfg.D if cfg.D is not None else prep.fset.diameter
-        if not np.isfinite(D):  # validate checked a given D, so this is the set's
-            if prep.fset.kind == "unbounded":
-                raise ConfigError("convex_static needs a bounded set or an explicit D")
-            raise ConfigError(f"convex_static: the {prep.fset.kind} set is bounded, but its "
-                              "diameter overflows float64; set D explicitly")
-        steps = StepSizeSchedule.convex_static(D, constants.ell_f0)
-    else:
-        steps = StepSizeSchedule.nonconvex(1.0 / (3.0 * derived.L_f), derived)
-
-    if cfg.K is not None:
-        inner = InnerSchedule.fixed(beta, cfg.K, k_max=cfg.k_max)
-        prep.notes.append(f"K = {cfg.K} (override)")
-    elif cfg.regime == "strongly_convex":
-        c = strongly_convex_c(need_mu_f(), derived)
-        inner = InnerSchedule.strongly_convex(beta, c, k_max=cfg.k_max)
-    elif cfg.regime == "strongly_convex_static":
-        inner = InnerSchedule.strongly_convex_static(beta, need_mu_f(), k_max=cfg.k_max)
-    elif cfg.regime in ("convex_dynamic", "convex_static"):
-        inner = InnerSchedule.convex_log_t(beta, k_max=cfg.k_max)
-    else:
-        inner = InnerSchedule.nonconvex(beta, steps.alpha_at(1), window.W, k_max=cfg.k_max)
+        if cfg.K is not None:
+            inner = InnerSchedule.fixed(beta, cfg.K, k_max=cfg.k_max)
+            prep.notes.append(f"K = {cfg.K} (override)")
+        elif cfg.regime == "strongly_convex":
+            c = strongly_convex_c(mu_f, derived)
+            inner = InnerSchedule.strongly_convex(beta, c, k_max=cfg.k_max)
+        elif cfg.regime == "strongly_convex_static":
+            inner = InnerSchedule.strongly_convex_static(beta, mu_f, k_max=cfg.k_max)
+        elif cfg.regime in ("convex_dynamic", "convex_static"):
+            inner = InnerSchedule.convex_log_t(beta, k_max=cfg.k_max)
+        else:
+            inner = InnerSchedule.nonconvex(beta, steps.alpha_at(1), window.W, k_max=cfg.k_max)
+        alphas = evaluate_schedules(steps, inner, derived, cfg.T)[0]
+        if cfg.alpha is None and 0.0 in alphas:  # alpha_at has refused nan, inf and alpha < 0
+            raise ValueError(f"round {alphas.index(0.0) + 1}: step size schedule {steps.label!r} "
+                             "gave alpha = 0.0; a regime default needs alpha > 0")
+    except (ValueError, OverflowError) as exc:
+        # an OverflowError here is a Python float ** in a factory (a squared constant)
+        reason = "a default schedule overflows float64" if isinstance(exc, OverflowError) else exc
+        # a quadratic stream's constants are fixed; the others' are estimated over these keys
+        keys = "" if cfg.problem == "quadratic" else (
+            f"raise x_low = {cfg.x_low:g}, lower y_bound = {cfg.y_bound:g} or x_high = {cfg.x_high:g}, ")
+        if cfg.regime.startswith("strongly_convex"):
+            keys += f"change mu_f = {mu_f:g}, "
+        raise ConfigError(
+            f"regime {cfg.regime}: {reason} (derived constants kappa_g = {derived.kappa_g:g}, "
+            f"L_y = {derived.L_y:g}, M_f = {derived.M_f:g}, L_f = {derived.L_f:g}): "
+            f"{keys}or set alpha and K") from exc
     return steps, inner, derived
 
 

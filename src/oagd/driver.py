@@ -22,7 +22,7 @@ import numpy as np
 from .core import DecisionPair, DerivedConstants, FeasibleSet, project
 from .errors import NonFiniteIterate, OracleUnavailable
 from .hypergrad import WeightWindow
-from .inner import InnerSchedule, k_for_round
+from .inner import InnerSchedule
 from .problems import Stream
 
 
@@ -52,9 +52,15 @@ class StepSizeSchedule:
     label: str
 
     def alpha_at(self, t: int) -> float:
+        """alpha_t; a nan, infinite or negative one is a ValueError naming
+        round t and the schedule."""
         if t < 1:
             raise ValueError("round index must be >= 1")
-        return self.rule(t)
+        alpha = float(self.rule(t))
+        if not 0.0 <= alpha < math.inf:
+            raise ValueError(f"round {t}: step size schedule {self.label!r} gave "
+                             f"alpha = {alpha!r}; it needs a finite alpha >= 0")
+        return alpha
 
     @staticmethod
     def constant(alpha: float, label: str = "constant") -> "StepSizeSchedule":
@@ -101,19 +107,9 @@ class StepSizeSchedule:
 
     @staticmethod
     def custom(fn: Callable[[int], float], label: str = "custom") -> "StepSizeSchedule":
-        """alpha_t = fn(t); an alpha_t that is nan, infinite or negative is
-        a ValueError naming round t and the schedule."""
         if not callable(fn):
             raise ValueError("custom schedule needs a callable")
-
-        def rule(t):
-            alpha = float(fn(t))
-            if not 0.0 <= alpha < math.inf:
-                raise ValueError(f"round {t}: custom step size schedule {label!r} gave "
-                                 f"alpha = {alpha!r}; it needs a finite alpha >= 0")
-            return alpha
-
-        return StepSizeSchedule(rule, label)
+        return StepSizeSchedule(fn, label)
 
 
 @dataclass
@@ -127,8 +123,9 @@ class Trace:
     wall time. f_value and inner_residual only measure a round, so the
     drivers fill them after their loops, and wall_nanos time the round's
     algorithm alone. y is y_after_inner shifted down one row, with the
-    initial y_1 in row 0, and beta is constant: the drivers write both
-    after their loops. Consecutive rows satisfy
+    initial y_1 in row 0, beta is constant, and alpha and K are the
+    schedules' values, evaluated before the loop: the drivers write all
+    four after their loops. Consecutive rows satisfy
     x_{t+1} = project(X, x_t - alpha_t * hypergrad_t) for the online driver
     (benchmark traces set alpha_t = 0 and K_t = 0 and step by oracle
     instead). final_x / final_y hold the never-played pair (x_{T+1},
@@ -175,6 +172,28 @@ class Trace:
         return self.y.shape[1]
 
 
+def evaluate_schedules(steps: StepSizeSchedule, inner: InnerSchedule,
+                       constants: Optional[DerivedConstants], T: int) -> tuple[list, list, list]:
+    """alpha_1..alpha_T (StepSizeSchedule.alpha_at) and K_1..K_T (the inner
+    rule floored at 1 and capped at k_max), plus the capped rounds, whose
+    count is off schedule. Set-up evaluates a run's schedules with it, and
+    oagd_run before round 1. A K rule that raises ValueError or
+    OverflowError is a ValueError naming its round; constants may be None
+    for the fixed and custom rules, which never read it."""
+    if T < 1:
+        raise ValueError("horizon T must be >= 1")
+    alphas = [steps.alpha_at(t) for t in range(1, T + 1)]
+    Ks = []
+    for t in range(1, T + 1):
+        try:
+            Ks.append(max(int(inner.rule(constants, t)), 1))
+        except (ValueError, OverflowError) as exc:
+            reason = "K_t overflows float64" if isinstance(exc, OverflowError) else exc
+            raise ValueError(f"round {t}: inner schedule {inner.kind!r}: {reason}") from exc
+    capped = [t for t, k in enumerate(Ks, 1) if k > inner.k_max]
+    return alphas, [min(k, inner.k_max) for k in Ks], capped
+
+
 def oagd_run(
     stream: Stream,
     init: DecisionPair,
@@ -188,52 +207,53 @@ def oagd_run(
     """Run the online alternating loop for T rounds and return the trace.
 
     `constants` feeds the theorem-derived K_t rules, which raise ValueError
-    at round 1 without it; fixed and custom inner schedules never read it.
-    The loop runs with numpy's overflow and invalid warnings off: a
-    non-finite iterate is reported, with its round, by the loop's own
-    checks (NonFiniteIterate). Each check (_finite) is one BLAS dot v.v;
-    only when that is not finite does numpy test v entry by entry, so a
-    finite iterate whose squared norm overflows runs on. Each round calls
-    the stream's inner_steps and windowed_hypergrad. y and beta are
-    written after the loop, f_value and inner_residual by _measure_rounds.
+    without it; fixed and custom inner schedules never read it. Both
+    schedules are evaluated for all T rounds before round 1
+    (evaluate_schedules), so a schedule error comes before any round runs
+    and the capped rounds' warnings are recorded first. The loop runs with
+    numpy's overflow and invalid warnings off: a non-finite iterate is
+    reported, with its round, by the loop's own checks (NonFiniteIterate).
+    Each check (_finite) is one BLAS dot v.v; only when that is not finite
+    does numpy test v entry by entry, so a finite iterate whose squared
+    norm overflows runs on. Each round calls the stream's inner_steps and
+    windowed_hypergrad. y, alpha, beta and K are written after the loop,
+    f_value and inner_residual by _measure_rounds.
     """
     stream.horizon(T)
     x = np.asarray(init.x, dtype=float).copy()
     y = np.asarray(init.y, dtype=float).copy()
     if not fset.contains(x, atol=1e-12):
         raise ValueError("init.x lies outside the feasible set")
+    alphas, Ks, capped = evaluate_schedules(steps, inner, constants, T)
     trace = Trace.allocate(T, x.shape[0], y.shape[0])
     trace.y[0] = y
+    trace.warnings += [f"round {t}: K_t capped at {inner.k_max}" for t in capped]
     # overflow and nan surface through the loop's own finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             t0 = time.perf_counter_ns()
-            K_t, capped = k_for_round(inner, constants, t)
-            if capped:
-                trace.warnings.append(f"round {t}: K_t capped at {inner.k_max}")
+            i = t - 1
             # Stream.inner_steps' inner_gd raises on a non-finite iterate,
             # the fused overrides return it: either way the round is named
             try:
-                y_next = stream.inner_steps(t, x, y, inner.beta, K_t)
+                y_next = stream.inner_steps(t, x, y, inner.beta, Ks[i])
                 if not _finite(y_next):
                     raise NonFiniteIterate("inner iterate became non-finite")
             except NonFiniteIterate as exc:
                 raise NonFiniteIterate(str(exc), round_index=t) from exc
             hg = stream.windowed_hypergrad(t, window, x, y_next)
-            alpha_t = steps.alpha_at(t)
-            x_next = project(fset, x - alpha_t * hg)
+            x_next = project(fset, x - alphas[i] * hg)
             if not (_finite(hg) and _finite(x_next)):
                 raise NonFiniteIterate("outer iterate became non-finite", round_index=t)
-            i = t - 1
             trace.x[i] = x
             trace.y_after_inner[i] = y_next
             trace.hypergrad[i] = hg
-            trace.alpha[i] = alpha_t
-            trace.K[i] = K_t
             trace.wall_nanos[i] = time.perf_counter_ns() - t0
             x, y = x_next, y_next
     trace.y[1:] = trace.y_after_inner[:-1]
+    trace.alpha[:] = alphas
     trace.beta[:] = inner.beta
+    trace.K[:] = Ks
     trace.final_x = x
     trace.final_y = y
     _measure_rounds(stream, trace)

@@ -182,11 +182,13 @@ def pgd_to_stationarity(
 class InnerSchedule:
     """Inner step size beta and the rule K_t for per-round iteration counts.
 
-    rule(constants, t) gives round t's raw count, which k_for_round floors
-    at 1 and caps at k_max; kind names the rule in meta.txt. The factories
-    check their parameters and fix the rule once: fixed and custom never
-    read constants; the theorem-derived rules (strongly_convex,
-    strongly_convex_static, convex_log_t, nonconvex) need DerivedConstants.
+    rule(constants, t) gives round t's raw count, which
+    driver.evaluate_schedules floors at 1 and caps at k_max, naming the
+    round when the rule fails; kind names the rule in meta.txt. beta must
+    be positive and finite. The factories check their parameters and fix
+    the rule once: fixed and custom never read constants; the
+    theorem-derived rules (strongly_convex, strongly_convex_static,
+    convex_log_t, nonconvex) need DerivedConstants.
     theorem_beta gives their beta = 2/(ell_g1 + mu_g); overriding beta is
     allowed but off-schedule.
     """
@@ -197,8 +199,8 @@ class InnerSchedule:
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 
@@ -264,20 +266,3 @@ def _contraction_schedule(beta: float, kind: str,
         return math.ceil(0.5 * (constants.kappa_g + 1.0) * math.log(log_arg(constants, t)))
 
     return InnerSchedule(beta, kind, rule, k_max)
-
-
-def k_for_round(schedule: InnerSchedule, constants: Optional[DerivedConstants],
-                t: int) -> tuple[int, bool]:
-    """Iteration count K_t for round t under the schedule rule.
-
-    Returns (K_t, capped): capped is True when the rule exceeded k_max and
-    was clamped (off-schedule, recorded by the driver as a warning).
-    Every rule yields K_t >= 1. constants may be None for the fixed and
-    custom rules, which never read it.
-    """
-    if t < 1:
-        raise ValueError("round index must be >= 1")
-    k = max(int(schedule.rule(constants, t)), 1)
-    if k > schedule.k_max:
-        return schedule.k_max, True
-    return k, False

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oagd import (ConfigError, EmptyDataset, InnerSchedule, NonConvexFlag, ParseError,
-                  k_for_round, regret)
+                  evaluate_schedules, regret)
 from oagd.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -367,8 +367,11 @@ def test_build_schedules_regime_defaults():
     for M_f, other in ((0.0, InnerSchedule.nonconvex(1.0, 1.0 / 12.0, 3.0)),
                        (100.0, InnerSchedule.nonconvex(1.0, 0.0, 30.0))):
         probe = dataclasses.replace(derived, kappa_g=100.0, M_f=M_f)
-        assert (k_for_round(inner, probe, 1) == k_for_round(ref, probe, 1)
-                != k_for_round(other, probe, 1)), M_f
+
+        def k_1(sched):
+            return evaluate_schedules(steps, sched, probe, 1)[1][0]
+
+        assert k_1(inner) == k_1(ref) != k_1(other), M_f
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -418,19 +421,24 @@ def test_validate_catches_finite_values_that_overflow(tmp_path, capsys):
 def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_path, capsys):
     """y_bound = 1e200 on a synthetic stream gives M_f = L_f = inf. Each
     regime whose default step size or K_t reads one fails validate with a
-    ConfigError naming it and y_bound / x_high, instead of a raw ValueError
-    (nonconvex), a zero step (convex_dynamic) or "c must be positive"
-    (strongly_convex); with alpha and K set, none is read. So do finite
-    constants that overflow the defaults' formulas (below)."""
+    ConfigError naming the regime, L_f = inf and y_bound / x_high, instead
+    of a raw ValueError (nonconvex), a zero step (convex_dynamic) or "c must
+    be positive" (strongly_convex); with alpha and K set, none is read. So
+    do finite constants that overflow the defaults' formulas (below)."""
     base = "problem = synthetic\nT = 20\nd2 = 2\ny_bound = 1e200\n"
-    regimes = {"nonconvex": "", "strongly_convex": "mu_f = 0.1\n",
-               "convex_dynamic": "set_kind = box\nset_lower = 0\nset_upper = 3\n"}
-    for regime, extra in regimes.items():
+    regimes = {
+        "nonconvex": ("", "round 1: inner schedule 'nonconvex': cannot convert float NaN"),
+        "strongly_convex": ("mu_f = 0.1\n", "c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0"),
+        "convex_dynamic": ("set_kind = box\nset_lower = 0\nset_upper = 3\n",
+                           "round 1: step size schedule 'convex_dynamic alpha=1/(2 L_f^2)' gave "
+                           "alpha = 0.0; a regime default needs alpha > 0"),
+    }
+    for regime, (extra, reason) in regimes.items():
         path = _write(tmp_path / f"{regime}.cfg", base + extra + f"regime = {regime}\n")
         assert main(["validate", "--config", path]) == 1, regime
         err = capsys.readouterr().err
-        assert "error_category=ConfigError" in err, regime
-        assert "derived constant L_f = inf is not finite" in err, regime
+        assert err.startswith(f"error_category=ConfigError\nregime {regime}: {reason}"), err
+        assert "M_f = inf, L_f = inf)" in err, regime
         assert "lower y_bound = 1e+200 or x_high = 3" in err, regime
         path = _write(tmp_path / f"{regime}_set.cfg",
                       base + extra + f"regime = {regime}\nalpha = 0.01\nK = 5\n")
@@ -438,30 +446,74 @@ def test_validate_rejects_regime_defaults_that_read_overflowed_constants(tmp_pat
 
     # finite constants that overflow the defaults' formulas, which square
     # them in Python floats (OverflowError, not inf), also fail validate
-    # with a ConfigError naming the constant:
-    # - y_bound = 1e100: L_f = 4.5e208 squared (convex_dynamic,
-    #   strongly_convex), M_f = 9.7e205 squared (nonconvex, whose run died);
+    # with a ConfigError naming the constants:
+    # - y_bound = 1e100: L_f = 4.5e208 squared (convex_dynamic's and
+    #   strongly_convex's step size), M_f = 9.7e205 squared (nonconvex's
+    #   K_1, whose run died);
     # - mu_f = 1e-300 on a quadratic: c underflows to 0, also with K set,
     #   where the default step would be alpha = 0
     syn = "problem = synthetic\nT = 20\nd2 = 2\n"
+    overflow = "a default schedule overflows float64"
     cases = {
-        "convex_dynamic": (syn + "y_bound = 1e100\n", r"L_f = 4\.47\d*e\+208"),
-        "strongly_convex": (syn + "y_bound = 1e100\nmu_f = 0.001\n", r"L_f = 4\.47\d*e\+208"),
-        "nonconvex": (syn + "y_bound = 1e100\n", r"M_f = 9\.73\d*e\+205"),
+        "convex_dynamic": (syn + "y_bound = 1e100\n", overflow, ""),
+        "strongly_convex": (syn + "y_bound = 1e100\nmu_f = 0.001\n", overflow,
+                            "change mu_f = 0.001, "),
+        "nonconvex": (syn + "y_bound = 1e100\n",
+                      "round 1: inner schedule 'nonconvex': K_t overflows float64", ""),
     }
-    for regime, (cfg, named) in cases.items():
+    for regime, (cfg, reason, mu_f) in cases.items():
         path = _write(tmp_path / f"{regime}.cfg", cfg + f"regime = {regime}\n")
         assert main(["validate", "--config", path]) == 1, regime
         err = capsys.readouterr().err
-        assert re.fullmatch("error_category=ConfigError\nderived constant " + named
-                            + r" overflows float64 when squared: raise x_low = -3, lower "
-                            r"y_bound = 1e\+100 or x_high = 3, or set alpha and K\n", err), err
+        assert re.fullmatch(
+            f"error_category=ConfigError\nregime {regime}: {reason} \\(derived constants "
+            r"kappa_g = 458\.198, L_y = 458\.198, M_f = 9\.73\d*e\+205, L_f = 4\.47\d*e\+208\): "
+            r"raise x_low = -3, lower y_bound = 1e\+100 or x_high = 3, " + mu_f
+            + r"or set alpha and K\n", err), err
     quad = "problem = quadratic\nT = 20\nregime = strongly_convex\nmu_f = 1e-300\n"
     for extra in ("", "K = 3\n"):
         assert main(["validate", "--config", _write(tmp_path / "q.cfg", quad + extra)]) == 1
+        assert capsys.readouterr().err == (
+            "error_category=ConfigError\nregime strongly_convex: "
+            "c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0 at mu_f = 1e-300 and "
+            "L_f = 4 (derived constants kappa_g = 1, L_y = 1, M_f = 2, L_f = 4): change "
+            "mu_f = 1e-300, or set alpha and K\n")
+
+
+def test_validate_evaluates_the_default_schedules_over_every_round(tmp_path, capsys):
+    """Finite derived constants whose product in a theorem K_t rule
+    overflows (x_low = -113, strongly_convex_static: 72 L_y^2 M_f^2 / mu_f
+    = inf; x_low = -120, nonconvex: nan), and mu_f = 1e-310, whose default
+    alpha_1 = 2/mu_f is inf, with and without K, passed validate and died
+    in run (a raw OverflowError, or "outer iterate became non-finite").
+    Set-up now evaluates the schedules over rounds 1..T and fails each with
+    a ConfigError naming the regime, the schedule, its round, the derived
+    constants and the keys; with alpha and K set each validates."""
+    syn = "problem = synthetic\nT = 20\nd2 = 2\nbeta = 0.01\n"
+    quad = "problem = quadratic\nT = 20\nregime = strongly_convex_static\nmu_f = 1e-310\n"
+    alpha_inf = ("round 1: step size schedule 'strongly_convex_static alpha_t=2/(mu_f t)' "
+                 "gave alpha = inf; it needs a finite alpha >= 0")
+    cases = [
+        (syn + "x_low = -113\nregime = strongly_convex_static\nmu_f = 0.001\n",
+         "regime strongly_convex_static: round 1: inner schedule 'strongly_convex_static': "
+         "K_t overflows float64", "raise x_low = -113, lower y_bound = 10 or x_high = 3, "
+         "change mu_f = 0.001, or set alpha and K"),
+        (syn + "x_low = -120\nregime = nonconvex\n",
+         "regime nonconvex: round 1: inner schedule 'nonconvex': cannot convert float NaN to "
+         "integer", "raise x_low = -120, lower y_bound = 10 or x_high = 3, or set alpha and K"),
+        (quad, f"regime strongly_convex_static: {alpha_inf}", "change mu_f = 1e-310, or set "
+         "alpha and K"),
+        (quad + "K = 3\n", f"regime strongly_convex_static: {alpha_inf}", "change mu_f = 1e-310, "
+         "or set alpha and K"),
+    ]
+    for cfg, reason, keys in cases:
+        assert main(["validate", "--config", _write(tmp_path / "c.cfg", cfg)]) == 1, cfg
         err = capsys.readouterr().err
-        assert err.startswith("error_category=ConfigError\n"
-                              "c = mu_f^2 / (2 (L_f^2 + L_y^2)) underflows to 0 at mu_f = 1e-300"), err
+        assert err.startswith(f"error_category=ConfigError\n{reason} (derived constants "), err
+        assert re.search(r"\(derived constants kappa_g = \S+, L_y = \S+, M_f = \S+, L_f = \S+\): "
+                         + re.escape(keys) + "\n$", err), err
+        path = _write(tmp_path / "set.cfg", cfg + "alpha = 0.01\nK = 5\n")
+        assert main(["validate", "--config", path]) == 0, cfg
 
 
 def test_validate_names_x_low_when_the_default_beta_rounds_to_its_bound(tmp_path, capsys):
@@ -1037,6 +1089,10 @@ sys.meta_path.insert(0, RefuseThirdParty())
 from oagd.cli import main
 
 out = Path(sys.argv[1])
+# the benchmark's pinned workloads go through the same set-up checks
+for path in sorted(Path("perfbench/configs").glob("*.cfg")):
+    if main(["validate", "--config", str(path)]) != 0:
+        sys.exit(f"validate failed: perfbench/configs/{path.name}")
 for path in sorted(Path("configs").glob("*.cfg")):
     if main(["validate", "--config", str(path)]) != 0:
         sys.exit(f"validate failed: {path.name}")
@@ -1055,8 +1111,9 @@ for name in ("quadratic_sweep", "synthetic_stages"):
 
 
 def test_shipped_configs_run_with_numpy_as_only_dependency(tmp_path):
-    """`oagd validate` and a T = 12 `oagd run` of every configs/*.cfg, and
-    a T = 12 `oagd sweep` of the two sweep configs, succeed in a fresh
+    """`oagd validate` of every perfbench/configs/*.cfg, `oagd validate`
+    and a T = 12 `oagd run` of every configs/*.cfg, and a T = 12 `oagd
+    sweep` of the two sweep configs, succeed in a fresh
     interpreter that refuses every import outside the standard library,
     numpy and oagd itself."""
     root = Path(__file__).resolve().parents[1]

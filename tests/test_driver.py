@@ -15,6 +15,7 @@ from oagd import (
     StepSizeSchedule,
     StreamExhausted,
     derive_constants,
+    evaluate_schedules,
     full_info_run,
     make_weights,
     oagd_run,
@@ -363,7 +364,7 @@ def test_non_finite_iterates_name_their_round(bad):
                    alpha=lambda t: 1e10 if t == 3 else 0.1) == (
             "round 3: outer iterate became non-finite")
         assert run(stream, alpha=lambda t: bad if t == 3 else 0.1, error=ValueError) == (
-            f"round 3: custom step size schedule 'custom' gave alpha = {float(bad)!r}; "
+            f"round 3: step size schedule 'custom' gave alpha = {float(bad)!r}; "
             "it needs a finite alpha >= 0")
 
 
@@ -376,10 +377,65 @@ def test_custom_step_size_rejects_a_bad_alpha(bad):
     assert steps.alpha_at(3) == 0.5
     with pytest.raises(ValueError) as info:
         steps.alpha_at(4)
-    assert str(info.value) == (f"round 4: custom step size schedule 'decay' gave "
+    assert str(info.value) == (f"round 4: step size schedule 'decay' gave "
                                f"alpha = {float(bad)!r}; it needs a finite alpha >= 0")
     for fine in (0.0, sys.float_info.max):
         assert StepSizeSchedule.custom(lambda t: fine).alpha_at(4) == fine
+
+
+def test_every_step_size_rule_is_checked():
+    """alpha_at checks every rule, not only custom's: constant(inf) and
+    strongly_convex_static at mu_f = 1e-310 (2/mu_f = inf) are ValueErrors
+    naming round 1 and the schedule, and oagd_run raises it before any
+    round runs instead of bouncing x between the box's faces with
+    alpha = inf."""
+    with pytest.raises(ValueError, match=r"^round 1: step size schedule 'constant' gave alpha = inf;"):
+        StepSizeSchedule.constant(float("inf")).alpha_at(1)
+    with pytest.raises(ValueError, match=r"^round 1: step size schedule 'strongly_convex_static "):
+        StepSizeSchedule.strongly_convex_static(1e-310).alpha_at(1)
+    stream = quadratic_stream("alt_sqrt", T=4)
+    played = []
+    spy = copy.copy(stream)
+    spy.inner_steps = lambda t, *args: played.append(t) or stream.inner_steps(t, *args)
+    with pytest.raises(ValueError, match="gave alpha = inf"):
+        _run(spy, T=4, alpha=float("inf"))
+    assert played == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inner_schedule_rejects_a_non_finite_beta(bad):
+    with pytest.raises(ValueError, match=f"beta must be positive and finite, got {bad!r}"):
+        InnerSchedule.fixed(beta=bad, K=1)
+
+
+def test_schedules_are_evaluated_once_before_round_1():
+    """oagd_run calls each schedule rule once per round (alpha_1..alpha_T,
+    then K_1..K_T), all before round 1's follower; the trace's alpha and K
+    are those values. A K rule that
+    fails (nan, inf) is a ValueError naming its round and schedule, raised
+    before any round runs."""
+    log = []
+    steps = StepSizeSchedule.custom(lambda t: log.append(("alpha", t)) or 0.1 / t)
+    inner = InnerSchedule.custom(beta=0.5, fn=lambda t: log.append(("K", t)) or t)
+    stream = quadratic_stream("alt_sqrt", T=3)
+    spy = copy.copy(stream)
+    spy.inner_steps = lambda t, *args: log.append(("round", t)) or stream.inner_steps(t, *args)
+    init = DecisionPair(x=np.zeros(1), y=np.zeros(1))
+    tr = oagd_run(spy, init, stream.fset, make_weights("uniform", 1), steps, inner, T=3)
+    assert log == [("alpha", 1), ("alpha", 2), ("alpha", 3), ("K", 1), ("K", 2), ("K", 3),
+                   ("round", 1), ("round", 2), ("round", 3)]
+    assert tr.alpha.tolist() == [0.1, 0.05, 0.1 / 3] and tr.K.tolist() == [1, 2, 3]
+    for bad, reason in ((np.nan, "cannot convert float NaN to integer"),
+                        (np.inf, "K_t overflows float64")):
+        inner = InnerSchedule.custom(beta=0.5, fn=lambda t: bad if t == 3 else 2)
+        message = f"^round 3: inner schedule 'custom': {reason}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_schedules(StepSizeSchedule.constant(0.1), inner, None, 5)
+        log.clear()
+        with pytest.raises(ValueError, match=message):
+            oagd_run(spy, init, stream.fset, make_weights("uniform", 1),
+                     StepSizeSchedule.constant(0.1), inner, T=3)
+        assert log == []
 
 
 def test_trace_y_is_y_after_inner_shifted_by_one():

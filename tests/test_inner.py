@@ -15,8 +15,9 @@ from oagd import (
     ProblemConstants,
     RoundFunctions,
     derive_constants,
+    StepSizeSchedule,
+    evaluate_schedules,
     inner_gd,
-    k_for_round,
     newton_to_tolerance,
     quadratic_round,
 )
@@ -319,24 +320,31 @@ QUAD_DERIVED = derive_constants(
 )
 
 
+def _k_at(sched, constants, t):
+    """(K_t, whether it was capped), entry t - 1 of the inner schedule
+    evaluated over rounds 1..t."""
+    _, Ks, capped = evaluate_schedules(StepSizeSchedule.constant(0.1), sched, constants, t)
+    return Ks[t - 1], t in capped
+
+
 def test_k_for_round_fixed():
     sched = InnerSchedule.fixed(beta=1.0, K=7)
-    assert k_for_round(sched, None, t=1) == (7, False)
-    assert k_for_round(sched, None, t=99) == (7, False)
+    assert _k_at(sched, None, t=1) == (7, False)
+    assert _k_at(sched, None, t=99) == (7, False)
 
 
 def test_k_for_round_convex_log_t():
     """kappa = 1: K_t = ceil(log(4 t^2)), so t = 1 gives 2 and t = 10
     gives ceil(log 400) = 6."""
     sched = InnerSchedule.convex_log_t(beta=1.0)
-    assert k_for_round(sched, QUAD_DERIVED, t=1) == (2, False)
-    assert k_for_round(sched, QUAD_DERIVED, t=10) == (6, False)
+    assert _k_at(sched, QUAD_DERIVED, t=1) == (2, False)
+    assert _k_at(sched, QUAD_DERIVED, t=10) == (6, False)
 
 
 def test_k_for_round_strongly_convex():
     """kappa = 1, M_f = 2, c = 1/34: K = ceil(log(12*4*35 + 2)) = 8."""
     sched = InnerSchedule.strongly_convex(beta=1.0, c=1.0 / 34.0)
-    k, capped = k_for_round(sched, QUAD_DERIVED, t=1)
+    k, capped = _k_at(sched, QUAD_DERIVED, t=1)
     assert (k, capped) == (8, False)
     assert k == math.ceil(math.log(12.0 * 4.0 * 35.0 + 2.0))
 
@@ -344,29 +352,29 @@ def test_k_for_round_strongly_convex():
 def test_k_for_round_strongly_convex_static():
     """kappa = 1, L_y = 1, M_f = 2, mu_f = 1: K = ceil(log(288.5)) = 6."""
     sched = InnerSchedule.strongly_convex_static(beta=1.0, mu_f=1.0)
-    assert k_for_round(sched, QUAD_DERIVED, t=3) == (6, False)
+    assert _k_at(sched, QUAD_DERIVED, t=3) == (6, False)
 
 
 def test_k_for_round_nonconvex():
     """kappa = 1, L_y = 1, M_f = 2, alpha = 1/2: c = 3 (1 + 4/4) = 6, so
     K = ceil(log(max(36, W))): ceil(log 36) = 4 at W = 10 and
     ceil(log 100) = 5 at W = 100."""
-    assert k_for_round(InnerSchedule.nonconvex(1.0, 0.5, 10.0), QUAD_DERIVED, t=1) == (4, False)
-    assert k_for_round(InnerSchedule.nonconvex(1.0, 0.5, 100.0), QUAD_DERIVED, t=7) == (5, False)
+    assert _k_at(InnerSchedule.nonconvex(1.0, 0.5, 10.0), QUAD_DERIVED, t=1) == (4, False)
+    assert _k_at(InnerSchedule.nonconvex(1.0, 0.5, 100.0), QUAD_DERIVED, t=7) == (5, False)
 
 
 def test_k_for_round_caps_and_flags():
     sched = InnerSchedule.convex_log_t(beta=1.0, k_max=3)
-    k, capped = k_for_round(sched, QUAD_DERIVED, t=10)
+    k, capped = _k_at(sched, QUAD_DERIVED, t=10)
     assert (k, capped) == (3, True)
 
 
 def test_k_for_round_custom_floor_is_one():
     sched = InnerSchedule.custom(beta=1.0, fn=lambda t: t - 5)
-    assert k_for_round(sched, None, t=1) == (1, False)
-    assert k_for_round(sched, None, t=9) == (4, False)
+    assert _k_at(sched, None, t=1) == (1, False)
+    assert _k_at(sched, None, t=9) == (4, False)
     with pytest.raises(ValueError):
-        k_for_round(sched, None, t=0)
+        _k_at(sched, None, t=0)
 
 
 def test_inner_schedule_validation():
