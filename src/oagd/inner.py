@@ -262,7 +262,7 @@ def _contraction_schedule(beta: float, kind: str,
 
     def rule(constants: Optional[DerivedConstants], t: int) -> int:
         if constants is None:
-            raise ValueError(f"inner schedule kind {kind!r} needs derived constants")
+            raise ValueError("needs derived constants")
         return math.ceil(0.5 * (constants.kappa_g + 1.0) * math.log(log_arg(constants, t)))
 
     return InnerSchedule(beta, kind, rule, k_max)

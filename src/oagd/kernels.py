@@ -27,8 +27,10 @@ def sm_workspace(m_max: int, d2: int):
 def sm_window_accumulate(A, A_val, b_val, d_inv, y, u, work):
     """acc = sum_i u_i * (D + a_i a_i^T)^{-1} a_val_i (a_val_i^T y - b_val_i).
 
-    A, A_val: (m, d2) rows newest-first; d_inv: 1/diag(D); u: (m,) weights;
-    work: an sm_workspace of at least m rows.
+    A, A_val: (m, d2) rows newest-first; d_inv: 1/diag(D), either (d2,) or,
+    when D = c I, the one entry (1,) = 1/c, which broadcasts over every
+    entry and costs one pass over the rows instead of a short loop per row;
+    u: (m,) weights; work: an sm_workspace of at least m rows.
     The rows must be C-contiguous (the regression streams slice them from
     newest-first copies of their tables): the memory layout fixes the
     summation order of the matrix products and so the result's bits.
@@ -41,8 +43,8 @@ def sm_window_accumulate(A, A_val, b_val, d_inv, y, u, work):
     np.matmul(A_val, y, out=r)
     np.subtract(r, b_val, out=r)
     np.multiply(A_val, r[:, None], out=DG)
-    np.multiply(DG, d_inv[None, :], out=DG)
-    np.multiply(A, d_inv[None, :], out=DA)
+    np.multiply(DG, d_inv, out=DG)
+    np.multiply(A, d_inv, out=DA)
     np.einsum("ij,ij->i", A, DG, out=num)
     np.einsum("ij,ij->i", A, DA, out=den)
     np.add(1.0, den, out=den)

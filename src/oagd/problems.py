@@ -27,9 +27,9 @@ Hessian, A^T A / n + diag(d).
 
 The regression families state their penalty once, as a RidgePenalty or an
 ElasticNetPenalty at x (HOStream.penalty(x)): its root, value, grad,
-hess_diag and jac_dot pieces, and step(), the follower's step in Python
-floats. The rounds, their inner models, the full-batch fit, inner_steps
-and windowed_hypergrad all read it.
+hess_diag, hess_diag_inv and jac_dot pieces, and steps(), the follower's K
+steps in place in Python floats. The rounds, their inner models, the
+full-batch fit, inner_steps and windowed_hypergrad all read it.
 
 Every stream is a Stream: a sequence of RoundFunctions (stream[i] builds
 round i anew on every call) plus the methods the online loop and the
@@ -40,13 +40,14 @@ a faster form:
 * inner_steps(t, x, y, beta, K), the follower's K steps of round t, runs
   in Python floats on both families and gives inner.inner_gd's iterates
   bit for bit. The regression streams build the penalty once per round
-  with numpy and keep only the dot a^T z in BLAS: numpy's ddot
-  is a fused multiply-add chain, which Python 3.11 floats (no math.fma)
-  cannot reproduce, while every other operation of a step is one correctly
-  rounded IEEE operation on one coordinate. That costs O(d2) interpreted
-  operations per step, so the Python step beats the numpy one only up to
-  d2 of about 17 (ridge) or 30 (elastic net); see HOStream.inner_steps.
-  Every shipped problem has d2 <= 8.
+  with numpy, and its steps() updates a float64 buffer in place, keeping
+  only the dot a^T z in BLAS: numpy's ddot is a fused multiply-add chain,
+  which Python 3.11 floats (no math.fma) cannot reproduce, while every
+  other operation of a step is one correctly rounded IEEE operation on one
+  coordinate. That costs O(d2) interpreted operations per step, so the
+  Python steps beat a numpy step only up to d2 of about 17 (ridge) or 25
+  (elastic net); see HOStream.inner_steps. Every shipped problem has
+  d2 <= 8.
 * windowed_hypergrad(t, window, x, y) is an O(w d2) reduction on both
   families, equal to the generic averaging loop up to summation order. The
   regression streams hold newest-first copies of their window tables,
@@ -372,18 +373,27 @@ class RidgePenalty:
         ridge = self.c2 * z
         return np.array([float(ridge @ v)]) if self.scalar else ridge * v
 
-    def step(self):
-        """The follower's step in Python floats: step(z, a, r, beta) gives
-        the list z_j - beta * (a_j r + grad_j) over coordinates j, with
-        r = a^T z - b, in grad_y_g's operation order and from this
-        penalty's c2 (IEEE +, -, *, / and sqrt give the same bits in numpy
-        and Python floats)."""
-        c2 = self.c2.tolist()
+    def hess_diag_inv(self, z, q) -> np.ndarray:
+        """1 / hess_diag for the window kernel: one entry when the ridge
+        weight is scalar (the diagonal is c2_0 I), which the kernel broadcasts
+        over every entry as it does a (d2,) vector."""
+        return 1.0 / (self.c2[:1] if self.scalar else self.c2)
 
-        def step(z, a, r, beta):
-            return [zj - beta * (aj * r + cj * zj) for zj, aj, cj in zip(z, a, c2)]
-
-        return step
+    def steps(self, z: array, a: np.ndarray, b: float, beta: float, K: int) -> None:
+        """The follower's K steps z_j <- z_j - beta * (a_j r + c2_j z_j),
+        r = a^T z - b, run in place on the float64 buffer z. r is a's BLAS
+        ddot over a numpy view of z, as in the round's grad_y_g; the rest is
+        Python floats in grad_y_g's operation order (IEEE +, -, *, / and sqrt
+        give the same bits in numpy and Python floats). Each coordinate's
+        update reads only its own z_j and the step's r, so writing z_j in
+        place gives the iterates of a step that builds a new z."""
+        view, dot = np.frombuffer(z), a.dot
+        coords = list(zip(range(len(z)), a.tolist(), self.c2.tolist()))
+        for _ in range(K):
+            r = float(dot(view)) - b
+            for j, aj, cj in coords:
+                zj = z[j]
+                z[j] = zj - beta * (aj * r + cj * zj)
 
 
 class ElasticNetPenalty(RidgePenalty):
@@ -414,16 +424,19 @@ class ElasticNetPenalty(RidgePenalty):
     def jac_dot(self, z, q, v) -> np.ndarray:
         return np.concatenate([self.s * z / q * v, super().jac_dot(z, q, v)])
 
-    def step(self):
-        """As RidgePenalty.step, with the smoothing term added to the ridge
+    def hess_diag_inv(self, z, q) -> np.ndarray:
+        return 1.0 / self.hess_diag(z, q)
+
+    def steps(self, z: array, a: np.ndarray, b: float, beta: float, K: int) -> None:
+        """As RidgePenalty.steps, with the smoothing term added to the ridge
         term: z_j - beta * (a_j r + (c2_j z_j + s_j z_j / sqrt(z_j^2 + mu^2)))."""
-        c2, s, mu2, sqrt = self.c2.tolist(), self.s.tolist(), self.mu2, math.sqrt
-
-        def step(z, a, r, beta):
-            return [zj - beta * (aj * r + (cj * zj + sj * zj / sqrt(zj * zj + mu2)))
-                    for zj, aj, cj, sj in zip(z, a, c2, s)]
-
-        return step
+        view, dot, mu2, sqrt = np.frombuffer(z), a.dot, self.mu2, math.sqrt
+        coords = list(zip(range(len(z)), a.tolist(), self.c2.tolist(), self.s.tolist()))
+        for _ in range(K):
+            r = float(dot(view)) - b
+            for j, aj, cj, sj in coords:
+                zj = z[j]
+                z[j] = zj - beta * (aj * r + (cj * zj + sj * zj / sqrt(zj * zj + mu2)))
 
 
 class HOStream(Stream):
@@ -537,34 +550,31 @@ class HOStream(Stream):
         1-based): the update of inner.inner_gd on self[t - 1], bit for bit.
         y is not modified.
 
-        The penalty is built once, and its step() (RidgePenalty.step,
-        ElasticNetPenalty.step) runs each step in Python floats, except
-        r = a^T z - b: z lives in a float64 buffer
-        that a numpy view reads, so the dot is the same BLAS ddot (a fused
-        multiply-add chain) as the round's gradient. Per step that is one
-        ddot call plus O(d2) interpreted operations, where the numpy step
-        it replaced paid a near-constant ufunc overhead. Time per step
-        against that numpy step (K = 30, 2-core VM, interleaved medians):
-        ridge 0.65 at d2 = 5, 0.75 at 8, 0.96 at 16, 1.37 at 32; elastic
-        net 0.43 at d2 = 5, 0.50 at 8, 0.70 at 16, 1.07 at 32. So the two
-        cross near d2 = 17 (ridge) and 30 (elastic net), and every shipped
-        problem has d2 <= 8.
+        The penalty is built once, and its steps() (RidgePenalty.steps,
+        ElasticNetPenalty.steps) runs all K steps in place on a float64
+        buffer, in Python floats except r = a^T z - b: a numpy view of the
+        buffer hands z to the same BLAS ddot (a fused multiply-add chain) as
+        the round's gradient. Per step that is one ddot call plus O(d2)
+        interpreted operations, where a numpy step pays a near-constant
+        ufunc overhead. Time per step against a numpy step with the penalty
+        built once, z -= beta * (a (a^T z - b) + grad) (K = 30, 2-core VM,
+        interleaved medians): ridge 0.46 at d2 = 5, 0.55 at 8, 0.92 at 16,
+        1.65 at 32, 3.0 at 64; elastic net 0.31 at d2 = 5, 0.42 at 8, 0.68
+        at 16, 1.22 at 32, 2.3 at 64. So the two cross near d2 = 17 (ridge)
+        and 25 (elastic net), and every shipped problem has d2 <= 8.
         """
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
-        a = self.A_train[t - 1]
-        b, a_list, beta = float(self.b_train[t - 1]), a.tolist(), float(beta)
-        step = self.penalty(x).step()
         z = array("d", np.asarray(y, dtype=float).tolist())
-        view, dot = np.frombuffer(z), a.dot
-        for _ in range(K):
-            z[:] = array("d", step(z, a_list, float(dot(view)) - b, beta))
-        return view.copy()
+        self.penalty(x).steps(z, self.A_train[t - 1], float(self.b_train[t - 1]), float(beta), K)
+        return np.array(z)
 
     def windowed_hypergrad(self, t: int, window, x, y) -> np.ndarray:
         """Fast path: every window term shares D and the cross derivatives,
         so the weighted solves batch-reduce through the Sherman-Morrison
-        kernel and the cross derivatives apply once, to their sum."""
+        kernel and the cross derivatives apply once, to their sum. The
+        penalty's hess_diag_inv gives the kernel 1/D, one entry for a scalar
+        ridge weight."""
         if t > len(self):
             raise StreamExhausted(t, available=len(self))
         y = np.asarray(y, dtype=float)
@@ -572,7 +582,7 @@ class HOStream(Stream):
         rows = slice(len(self) - t, len(self) - t + m)
         p = self.penalty(x)
         q = p.root(y)
-        d_inv = 1.0 / p.hess_diag(y, q)
+        d_inv = p.hess_diag_inv(y, q)
         acc = sm_window_accumulate(
             self._A_train_rev[rows],
             self._A_val_rev[rows],

@@ -1055,15 +1055,21 @@ def test_enet_oracle_comparator_chain_matches_benchmark_reference(monkeypatch):
     reproduces its stored report values within the config's oracle_tol
     (|a - b| <= tol max(1, |b|)). Its comparators come from warm-started
     numerical solves on a nonconvex stream, so a change that moves a
-    stationary point (cold starts, batched or spectral steps) shows here."""
+    stationary point (cold starts, batched or spectral steps) shows here.
+    Its trace hashes to the stored loop_sha256, so the elastic-net follower
+    and window kernel keep their bits."""
     import json
 
     root = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(root)
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench.workloads import loop_digest
+
     cfg = parse_config(root / "perfbench" / "configs" / "enet-oracle.cfg")
     ref = json.loads((root / "perfbench" / "reference.json").read_text())["enet-oracle"]["0"]
     with pytest.warns(NonConvexFlag):
-        _, _, meta = run_experiment(cfg, write=False)
+        trace, _, meta = run_experiment(cfg, write=False)
+    assert loop_digest([trace]) == ref["loop_sha256"]
     got = dict(line.split(" = ", 1) for line in meta)
     for key in ("report.bd_final", "report.p1", "report.y1", "report.comparator_grad_sum",
                 "test_error"):

@@ -162,7 +162,8 @@ def test_infeasible_init_rejected():
 
 def test_theorem_schedules_require_constants():
     stream = quadratic_stream("constant", T=2)
-    with pytest.raises(ValueError, match="'convex_log_t' needs derived constants"):
+    message = "^round 1: inner schedule 'convex_log_t': needs derived constants$"
+    with pytest.raises(ValueError, match=message):
         oagd_run(
             stream,
             DecisionPair(x=np.zeros(1), y=np.zeros(1)),

@@ -54,3 +54,16 @@ def test_sm_accumulate_workspace_reuse_is_bit_identical():
         args = _case(seed, m=m)
         assert np.array_equal(sm_window_accumulate(*args, work),
                               sm_window_accumulate(*args, sm_workspace(m, 5)))
+
+
+@pytest.mark.parametrize("m", (1, 7, 3000))
+@pytest.mark.parametrize("d2", (1, 5, 33))
+def test_sm_accumulate_one_entry_d_inv_matches_repeated_vector(m, d2):
+    """A one-entry d_inv (D = c I, the scalar ridge weight) gives the same
+    bytes as that entry repeated d2 times."""
+    A, A_val, b_val, _, y, u = _case(m + d2, m=m, d2=d2)
+    c_inv = np.array([1.0 / 2.7])
+    work = sm_workspace(m, d2)
+    one = sm_window_accumulate(A, A_val, b_val, c_inv, y, u, work)
+    full = sm_window_accumulate(A, A_val, b_val, c_inv.repeat(d2), y, u, work)
+    assert one.tobytes() == full.tobytes()
